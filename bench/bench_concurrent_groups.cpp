@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
           gr.payload = size;
           groups.push_back(std::move(gr));
         }
-        sim::Simulator sim(*topo);
+        sim::Simulator sim(*topo, h.sim_config());
         for (const auto& r : rtm.run_concurrent(sim, std::move(groups))) {
           lat += static_cast<double>(r.latency);
           blk += static_cast<double>(r.channel_conflicts);

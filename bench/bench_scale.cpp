@@ -3,13 +3,19 @@
 // the paper's 16x16 mesh — a 64x64 mesh (4096 nodes) and BMINs up to
 // 4096 ports, with multicast groups of k >= 1024.
 //
+// Two contended rows (OPT-Tree at 64 KB on the paper's 16x16 mesh and
+// 128-node BMIN) exercise the other half of the kernel: heads block, the
+// event engine materializes, and pure-shift windows carry the stepped
+// remainder.
+//
 // Each configuration runs the identical seeded placements under both
 // engines, asserts the SimStats are bit-identical (the equivalence
 // contract, enforced here on workloads far larger than the unit tests),
 // and reports simulated cycles, wall-clock, delivered messages/second,
-// and the event/cycle speedup.  Runs are timed serially (one simulator
-// at a time) so the wall-clock comparison is not confounded by the
-// thread pool.
+// the event/cycle speedup, and the event engine's telemetry: runs that
+// materialized and the share of their post-materialization cycles
+// covered by pure-shift windows.  Runs are timed serially (one simulator at a time) so the
+// wall-clock comparison is not confounded by the thread pool.
 #include <chrono>
 #include <iostream>
 
@@ -27,6 +33,9 @@ struct EngineRun {
   long long delivered = 0; ///< messages delivered, summed over placements
   double wall_s = 0;
   sim::SimStats last;      ///< stats of the last placement (equivalence check)
+  int materialized = 0;    ///< runs whose event engine materialized
+  long long stepped = 0;   ///< cycles after the first materialization
+  long long shifted = 0;   ///< of those, cycles in pure-shift windows
 };
 
 EngineRun run_engine(const sim::Topology& topo, const MeshShape* shape,
@@ -41,6 +50,12 @@ EngineRun run_engine(const sim::Topology& topo, const MeshShape* shape,
     out.cycles += sim.stats().cycles;
     out.delivered += sim.stats().messages_delivered;
     out.last = sim.stats();
+    const sim::EngineTelemetry& tel = sim.engine_telemetry();
+    if (tel.materializations > 0) {
+      ++out.materialized;
+      out.stepped += sim.stats().cycles - tel.first_materialization;
+    }
+    out.shifted += tel.shifted_cycles;
   }
   const std::chrono::duration<double> wall =
       std::chrono::steady_clock::now() - start;
@@ -78,6 +93,7 @@ int main(int argc, char** argv) {
     McastAlgorithm alg;
     int nodes;
     int k;
+    Bytes payload = size;
   };
   std::vector<Config> configs;
   {
@@ -95,18 +111,27 @@ int main(int argc, char** argv) {
     configs.push_back({"bmin 4096 OPT-MIN k=1024",
                        bmin::make_bmin(4096, bmin::UpPolicy::kAdaptive),
                        nullptr, McastAlgorithm::kOptMin, 4096, 1024});
+    auto m16 = mesh::make_mesh2d(16);
+    const MeshShape* s16 = &m16->shape();
+    configs.push_back({"mesh 16x16 OPT-Tree k=32 64KB (contended)",
+                       std::move(m16), s16, McastAlgorithm::kOptTree, 256, 32,
+                       65536});
+    configs.push_back({"bmin 128 OPT-Tree k=32 64KB (contended)",
+                       bmin::make_bmin(128, bmin::UpPolicy::kSourceAddress),
+                       nullptr, McastAlgorithm::kOptTree, 128, 32, 65536});
   }
 
   analysis::Table t({"config", "cycles", "cycle wall s", "event wall s",
-                     "cycle msg/s", "event msg/s", "speedup"});
+                     "cycle msg/s", "event msg/s", "speedup", "materialized",
+                     "shift cover"});
   bool diverged = false;
   for (const Config& c : configs) {
     const auto placements =
         analysis::sample_placements(kSeed + c.k, c.nodes, c.k, reps);
     const EngineRun cyc = run_engine(*c.topo, c.shape, rtm, c.alg, placements,
-                                     size, sim::EngineKind::kCycle);
+                                     c.payload, sim::EngineKind::kCycle);
     const EngineRun evt = run_engine(*c.topo, c.shape, rtm, c.alg, placements,
-                                     size, sim::EngineKind::kEvent);
+                                     c.payload, sim::EngineKind::kEvent);
     if (!same_stats(cyc.last, evt.last)) {
       std::cerr << "bench_scale: ENGINE DIVERGENCE on " << c.label << "\n";
       diverged = true;
@@ -120,7 +145,15 @@ int main(int argc, char** argv) {
                analysis::Table::num(rate(cyc), 0),
                analysis::Table::num(rate(evt), 0),
                analysis::Table::num(
-                   evt.wall_s > 0 ? cyc.wall_s / evt.wall_s : 0.0, 1)});
+                   evt.wall_s > 0 ? cyc.wall_s / evt.wall_s : 0.0, 1),
+               std::to_string(evt.materialized) + "/" + std::to_string(reps),
+               evt.stepped > 0
+                   ? analysis::Table::num(100.0 *
+                                              static_cast<double>(evt.shifted) /
+                                              static_cast<double>(evt.stepped),
+                                          1) +
+                         "%"
+                   : "-"});
   }
   h.report(t, "E18 (cycle vs event engine, identical results)",
            "scale_sweep.csv");
@@ -128,6 +161,8 @@ int main(int argc, char** argv) {
   std::cout << "\nExpectation: the contention-free schedules (Theorems 1-2) "
                "stay laminar end-to-end, so the event engine touches only "
                "reserve/release/delivery cycles and the speedup grows with "
-               "topology size; results are bit-identical by construction.\n";
+               "topology size; the contended OPT-Tree rows materialize, and "
+               "pure-shift windows cover nearly all of their stepped cycles; "
+               "results are bit-identical by construction.\n";
   return diverged ? 1 : 0;
 }

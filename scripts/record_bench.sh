@@ -16,7 +16,11 @@
 # fails (exit 1) if the event engine is not at least as fast as the
 # cycle engine — the CI perf gate.  Each engine gets `runs` attempts and
 # the best wall time is compared, so scheduler noise cannot flake the
-# gate.  It then gates streaming throughput on the same fig2 parameters:
+# gate.  The same best-of comparison on the contended E11 workload
+# (bench_concurrent_groups: overlapping groups block each other) requires
+# the event engine to take at most half the cycle engine's time, with
+# identical result tables.  It then gates streaming throughput on the
+# same fig2 parameters:
 # a window-8 stream must beat the window-1 (stop-and-wait) stream in
 # simulated makespan (pcmcast --stream --json; fully deterministic), and
 # finally gates the flight recorder: a traced fig2 run must stay within
@@ -51,24 +55,27 @@ wall_of() {
   sed -n 's/.*"wall_seconds": \([0-9.eE+-]*\).*/\1/p' "$1"
 }
 
+# Best-of-$runs wall time of `BENCH --engine ENGINE` (serial); the last
+# run's stdout is kept in $tmp/BENCH_ENGINE.txt.
+best_wall() {
+  best=""
+  i=0
+  while [ "$i" -lt "$runs" ]; do
+    i=$((i + 1))
+    "$build/bench/$1" --jobs 1 --engine "$2" --json "$tmp/$1_$2.json" \
+        >"$tmp/$1_$2.txt" || exit 1
+    w="$(wall_of "$tmp/$1_$2.json")"
+    if [ -z "$best" ] || awk "BEGIN{exit !($w < $best)}"; then
+      best="$w"
+    fi
+  done
+  echo "$best"
+}
+
 if [ "$smoke" -eq 1 ]; then
   runs=3
-  best_cycle=""
-  best_event=""
-  for engine in cycle event; do
-    best=""
-    i=0
-    while [ "$i" -lt "$runs" ]; do
-      i=$((i + 1))
-      "$build/bench/bench_fig2_mesh_msgsize" --jobs 1 --engine "$engine" \
-          --json "$tmp/fig2_$engine.json" >/dev/null || exit 1
-      w="$(wall_of "$tmp/fig2_$engine.json")"
-      if [ -z "$best" ] || awk "BEGIN{exit !($w < $best)}"; then
-        best="$w"
-      fi
-    done
-    if [ "$engine" = cycle ]; then best_cycle="$best"; else best_event="$best"; fi
-  done
+  best_cycle="$(best_wall bench_fig2_mesh_msgsize cycle)" || exit 1
+  best_event="$(best_wall bench_fig2_mesh_msgsize event)" || exit 1
   echo "record_bench smoke: fig2 16x16 best-of-$runs" \
        "cycle=${best_cycle}s event=${best_event}s"
   if awk "BEGIN{exit !($best_event <= $best_cycle)}"; then
@@ -76,6 +83,37 @@ if [ "$smoke" -eq 1 ]; then
   else
     echo "record_bench smoke: FAIL — event engine slower than the cycle" \
          "reference on the 16x16 fig2 workload" >&2
+    exit 1
+  fi
+
+  # Contended engine gate (E11): after the first blocked head the event
+  # engine steps cycle by cycle except across pure-shift windows, which
+  # must make it at least 2x faster than the reference — on identical
+  # result tables (only the engine and json preamble lines may differ).
+  cg=bench_concurrent_groups
+  if [ ! -x "$build/bench/$cg" ]; then
+    echo "record_bench: $build/bench/$cg not found; build it first" >&2
+    exit 2
+  fi
+  cg_cycle="$(best_wall $cg cycle)" || exit 1
+  cg_event="$(best_wall $cg event)" || exit 1
+  for engine in cycle event; do
+    grep -v '^engine:\|^json:' "$tmp/${cg}_$engine.txt" >"$tmp/${cg}_$engine.tab"
+  done
+  if ! cmp -s "$tmp/${cg}_cycle.tab" "$tmp/${cg}_event.tab"; then
+    echo "record_bench smoke: FAIL — E11 result tables differ between" \
+         "engines" >&2
+    diff "$tmp/${cg}_cycle.tab" "$tmp/${cg}_event.tab" >&2
+    exit 1
+  fi
+  echo "record_bench smoke: E11 contended best-of-$runs" \
+       "cycle=${cg_cycle}s event=${cg_event}s (tables identical)"
+  if awk "BEGIN{exit !($cg_event <= $cg_cycle * 0.5)}"; then
+    echo "record_bench smoke: OK (event engine at most half the cycle" \
+         "engine's time on contended traffic)"
+  else
+    echo "record_bench smoke: FAIL — event engine takes more than half the" \
+         "cycle engine's time on the contended E11 workload" >&2
     exit 1
   fi
 

@@ -487,9 +487,27 @@ StreamResult stream_reliable(const MulticastRuntime& rtm, sim::Simulator& sim,
     }
   };
 
+  // Delta catch-up: committed slots a live member lacks (it was evicted
+  // when they committed, then rejoined) go out as dedicated unicast
+  // records at the current epoch.  Every epoch transition closes all open
+  // records, so each one re-opens the catch-up of every member still
+  // behind — several rejoins in one heartbeat sweep must not cancel each
+  // other's backfill.
+  auto catch_up = [&](Time now) {
+    for (int p = 0; p < k; ++p) {
+      if (p == acting || dead[static_cast<std::size_t>(p)]) continue;
+      const auto& got = delivered[static_cast<std::size_t>(p)];
+      for (int s = 0; s < std::min(frontier, slots); ++s)
+        if (!got[static_cast<std::size_t>(s)])
+          new_rec(s, acting, p, cur_of_orig[static_cast<std::size_t>(p)], {p},
+                  false, now);
+    }
+  };
+
   // Rebuilds the current tree over the live members rooted at the acting
-  // source, re-activates every injected-but-uncommitted slot into it, and
-  // refills the window.  Shared tail of every epoch transition.
+  // source, re-activates every injected-but-uncommitted slot into it,
+  // refills the window, and re-opens delta catch-ups.  Shared tail of
+  // every epoch transition.
   auto rebuild = [&](Time now) {
     std::vector<NodeId> surv;
     for (int p = 0; p < k; ++p)
@@ -510,6 +528,7 @@ StreamResult stream_reliable(const MulticastRuntime& rtm, sim::Simulator& sim,
           activate(s, cur.chain.source_pos, now);
     }
     pump(now);
+    catch_up(now);
   };
 
   // Epoch-based eviction: declare `dpos` gone, invalidate every open
@@ -582,7 +601,7 @@ StreamResult stream_reliable(const MulticastRuntime& rtm, sim::Simulator& sim,
 
   // Healed partition: re-admit `p` at a fresh epoch.  In-flight slots are
   // replayed through the rebuilt (p-inclusive) tree; committed slots p
-  // missed are delta-caught-up with dedicated unicast records.
+  // missed are delta-caught-up by rebuild().
   auto rejoin_pos = [&](int p, Time now) {
     dead[static_cast<std::size_t>(p)] = 0;
     parted[static_cast<std::size_t>(p)] = 0;
@@ -601,10 +620,6 @@ StreamResult stream_reliable(const MulticastRuntime& rtm, sim::Simulator& sim,
         ++rg.need;  // p gates in-flight commits again
     }
     rebuild(now);
-    for (int s = prefix; s < std::min(frontier, slots); ++s)
-      if (!delivered[static_cast<std::size_t>(p)][static_cast<std::size_t>(s)])
-        new_rec(s, acting, p, cur_of_orig[static_cast<std::size_t>(p)], {p},
-                false, now);
   };
 
   // One heartbeat sweep: apply the detector's verdicts.  Returns false
@@ -749,10 +764,15 @@ StreamResult stream_reliable(const MulticastRuntime& rtm, sim::Simulator& sim,
           sim.run_until_idle();  // drain duplicates and purging worms
           break;
         }
-        // No records in flight but slots remain: only possible transiently
-        // (e.g. every survivor died); pump either finishes or re-opens.
+        // No records in flight but slots remain (e.g. every survivor
+        // died): pump either finishes or re-opens.
+        const int before = frontier;
+        const std::size_t issued = recs.size();
         pump(std::max(sim.now(), t0));
-        continue;
+        // When it cannot (a source died with nothing in flight, its last
+        // sends lost), only the detector can move the stream: wait for
+        // the sweep that confirms the death and fails over.
+        if (!hb_on || frontier != before || recs.size() != issued) continue;
       }
       horizon = next_hb;
     }

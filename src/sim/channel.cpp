@@ -29,6 +29,28 @@ int FlitFifo::remove_msg(MsgId msg) {
   return removed;
 }
 
+int FlitFifo::first_marked() const noexcept {
+  for (int i = 0; i < size_; ++i) {
+    const Flit& f = slots_[(head_ + i) % capacity_].flit;
+    if (f.head || f.tail) return i;
+  }
+  return size_;
+}
+
+void FlitFifo::shift(Time d, MsgId msg) noexcept {
+  // The flit at logical index i + d moves to index i without moving in
+  // memory; the last min(d, size) slots are refilled with fresh bodies.
+  const Time newest = slots_[(head_ + size_ - 1) % capacity_].entry + d;
+  const int keep = d < size_ ? size_ - static_cast<int>(d) : 0;
+  head_ = static_cast<int>((head_ + d % capacity_) % capacity_);
+  for (int i = 0; i < size_; ++i) {
+    Slot& s = slots_[(head_ + i) % capacity_];
+    if (i >= keep) s.flit = Flit{msg, false, false};
+    s.entry = newest - (size_ - 1 - i);
+  }
+  last_pop_ += d;
+}
+
 Flit FlitFifo::pop(Time now) {
   if (empty()) throw std::logic_error("FlitFifo::pop on empty buffer");
   Flit f = slots_[head_].flit;

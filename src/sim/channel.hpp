@@ -30,6 +30,12 @@ class FlitFifo {
   /// Oldest flit; FIFO must be non-empty.
   [[nodiscard]] const Flit& front() const noexcept { return slots_[head_].flit; }
   [[nodiscard]] Time front_entry() const noexcept { return slots_[head_].entry; }
+  /// Newest flit's arrival cycle; FIFO must be non-empty.
+  [[nodiscard]] Time back_entry() const noexcept {
+    return slots_[(head_ + size_ - 1) % capacity_].entry;
+  }
+  /// Cycle of the latest pop, or -1.
+  [[nodiscard]] Time last_pop() const noexcept { return last_pop_; }
 
   void push(const Flit& f, Time now);
   Flit pop(Time now);
@@ -45,6 +51,16 @@ class FlitFifo {
   /// order and entry times of the rest.  Returns the number removed.
   /// Fault path only — never called on healthy runs.
   int remove_msg(MsgId msg);
+
+  /// Logical index of the first head or tail flit, or size() if every
+  /// buffered flit is a body flit.
+  [[nodiscard]] int first_marked() const noexcept;
+
+  /// Pure-shift window (event engine only): applies `d` cycles of one pop
+  /// and one push each, the pushed flits being body flits of `msg`.  The
+  /// FIFO must hold consecutive entry times ending at last_pop(); sizes
+  /// are unchanged and every entry time and last_pop() advance by `d`.
+  void shift(Time d, MsgId msg) noexcept;
 
   /// Flow control against start-of-cycle occupancy: a flit popped earlier
   /// in the same cycle has not yet freed its slot for same-cycle pushes

@@ -23,13 +23,35 @@
 // engine *materializes* the exact cycle-engine microstate (FIFO contents
 // with historical entry times, channel reservations, NI engine state,
 // rotating-arbiter positions reconstructed from activity intervals) and
-// permanently hands this Simulator to the cycle engine — which then
-// replays the contended cycle itself, emitting on_blocked / conflict
-// accounting at exactly the cycle the reference engine would.  Fault
-// plans and router_delay < 1 skip event mode entirely.  The result is
-// bit-identical SimStats, delivery times, observer streams, and watchdog
-// reports on every workload, with event-speed execution on the
-// contention-free schedules the paper's theorems produce.
+// hands this Simulator to the per-cycle step(), which replays the
+// contended cycle itself, emitting on_blocked / conflict accounting at
+// exactly the cycle the reference engine would.
+//
+// Contended flow is still almost entirely *pure shift*.  Call a cycle t
+// a shift cycle when it had no discrete event (reserve, release,
+// delivery, post release, NI pull, head/tail flit moved or injected) and
+// every occupied input FIFO either
+//   * streamed: one pop and one push at t, m >= R flits with entry times
+//     exactly t-m+1..t, or
+//   * stayed frozen: no pop, newest entry <= t-R.
+// Then channel holders and FIFO sizes are unchanged, every streaming
+// front pops again with residency m, every frozen FIFO stays full (or
+// holds a head blocked on the same holders), and sweep orders and
+// credit turnarounds repeat — so cycle t+1 is cycle t shifted by one
+// cycle and one flit index per worm, and so is every later cycle until
+// an absolute input intervenes: a head/tail flit reaching a streaming
+// front or an injecting NI, the next post's ready time, max_cycles, or
+// the watchdog budget on a progress-free network.  shift_window() applies
+// that many cycles at once: streaming FIFOs are rewritten (entries +d,
+// fresh body flits of the same worm), NI engines advance d flits, rotating
+// arbiters d positions, flit hops, conflicts and each blocked message's
+// block_cycles advance by d times their per-cycle rate, and an installed
+// observer receives every skipped on_blocked call in the exact sweep
+// order.  Fault plans and router_delay < 1 skip event mode entirely.  The
+// result is bit-identical SimStats, delivery times, observer streams, and
+// watchdog reports on every workload, with event-speed execution on the
+// contention-free schedules the paper's theorems produce and on the long
+// streaming stretches of contended ones.
 #pragma once
 
 #include <queue>
@@ -66,6 +88,14 @@ class EventEngine {
   /// True while worms are mid-flight (materialization would be needed
   /// for the router state to be inspectable).
   [[nodiscard]] bool live() const { return !live_.empty(); }
+
+  /// Materialized mode, after step() executed cycle now()-1 with no
+  /// discrete event: if that cycle was a pure shift, applies the longest
+  /// run of identical following cycles (bounded by max_cycles, the next
+  /// post, and — when the network made no progress, `stalled` being the
+  /// watchdog's count — the watchdog budget) and returns its length;
+  /// otherwise returns 0.
+  Time shift_window(Time max_cycles, Time stalled);
 
   /// After a materializing advance(): the count of trailing progress-free
   /// cycles the reference engine would have accumulated, so the caller
@@ -154,6 +184,8 @@ class EventEngine {
   void settle_hops(Time upto);
 
   void materialize(Time at);
+  /// Emits the on_blocked calls of `d` shifted cycles after `t`.
+  void emit_blocked(Time t, Time d);
 
   Simulator& sim_;
   const Time r_;  ///< cfg_.router_delay (>= 1 in event mode)
@@ -179,6 +211,16 @@ class EventEngine {
   std::vector<int> cand_;
   std::vector<int> tentative_;               ///< channels granted this cycle
   std::vector<std::pair<int, int>> grants_;  ///< (worm, out_port), sweep order
+
+  // shift-window scratch
+  struct Blocked {
+    int router;
+    int port;
+    MsgId msg;
+  };
+  std::vector<std::pair<FlitFifo*, MsgId>> streaming_;  ///< fifo, body msg
+  std::vector<Blocked> blocked_;  ///< blocked heads, router/port ascending
+  std::vector<Simulator::Nic::Engine*> injecting_;
 };
 
 }  // namespace pcm::sim

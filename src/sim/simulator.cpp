@@ -203,6 +203,7 @@ Time Simulator::run_until_idle(Time max_cycles) {
       stalled = 0;
     }
     progress_ = false;
+    shift_break_ = false;
     step();
     stalled = progress_ ? 0 : stalled + 1;
     if (stalled > cfg_.watchdog_cycles) {
@@ -216,6 +217,12 @@ Time Simulator::run_until_idle(Time max_cycles) {
                          std::to_string(cycle_) + "\n" + report.to_string();
       throw WatchdogError(std::move(what), std::move(report));
     }
+    if (event_ && !shift_break_) {
+      // Materialized event mode: the cycle just stepped may open a
+      // pure-shift window; a progress-free window extends the stall.
+      const Time skipped = event_->shift_window(max_cycles, stalled);
+      if (!progress_) stalled += skipped;
+    }
   }
   if (event_ && !event_disabled_) event_->finish_run();
   stats_.cycles = cycle_;
@@ -228,6 +235,7 @@ void Simulator::release_due_posts() {
   while (!posts_.empty() && posts_.top().ready <= cycle_) {
     const MsgId id = posts_.top().id;
     posts_.pop();
+    shift_break_ = true;
     const NodeId src = messages_.at(id).src;
     if (faults_active_ && node_dead_[static_cast<std::size_t>(src)]) {
       // A fail-stopped node issues no sends: the post dies at the NI.
@@ -283,6 +291,7 @@ void Simulator::arbitrate(int r) {
       any_live = true;
       if (router.out_holder(q) == -1) {
         router.reserve(p, q);
+        shift_break_ = true;
         channel_msg_[static_cast<std::size_t>(r) * radix_ + q] = front.msg;
         if (observer_ != nullptr) observer_->on_reserve(r, q, front.msg, cycle_);
         granted = true;
@@ -331,6 +340,7 @@ void Simulator::transfer(int r) {
       --inflight_flits_;
       ++stats_.flit_hops;
       progress_ = true;
+      shift_break_ |= flit.head || flit.tail;
       if (flit.tail) {
         router.release(p, q);
         channel_msg_[static_cast<std::size_t>(base) + q] = kInvalidMsg;
@@ -368,6 +378,7 @@ void Simulator::transfer(int r) {
     mark_router_active(d.router);
     ++stats_.flit_hops;
     progress_ = true;
+    shift_break_ |= flit.head || flit.tail;
     if (flit.tail) {
       router.release(p, q);
       channel_msg_[static_cast<std::size_t>(base) + q] = kInvalidMsg;
@@ -386,6 +397,7 @@ void Simulator::inject(NodeId n) {
       eng.active = nic.queue.front();
       nic.queue.pop_front();
       eng.flits_sent = 0;
+      shift_break_ = true;
     }
     Message& msg = messages_.at(eng.active);
     const PortRef a = attach_cache_[base + e];
@@ -402,6 +414,7 @@ void Simulator::inject(NodeId n) {
     stats_.max_inflight_flits = std::max(stats_.max_inflight_flits, inflight_flits_);
     ++eng.flits_sent;
     progress_ = true;
+    shift_break_ |= flit.head || flit.tail;
     if (flit.tail) {
       msg.inject_done = cycle_;
       eng.active = kInvalidMsg;

@@ -50,12 +50,20 @@ namespace pcm::sim {
 /// laminar (every head wins arbitration the first cycle it is eligible)
 /// all reserve/release/delivery times are closed-form affine functions of
 /// the injection start, so the engine only touches the event calendar.
-/// On the first non-laminar condition — a blocked head, a fault plan, a
-/// truncated run — it materializes the exact flit-level microstate of
-/// that cycle and permanently (for this Simulator) hands control to the
-/// cycle engine, which makes the two engines bit-identical by
-/// construction: SimStats, delivery times, observer callback sequences,
-/// and watchdog reports all match.
+/// On the first non-laminar condition — a blocked head, a truncated run,
+/// an external stall_report() — it materializes the exact flit-level
+/// microstate of that cycle and the per-cycle step() takes over.  From
+/// then on the run is stepped, except across *pure-shift windows*: after
+/// a cycle with no discrete event (no reserve, release, delivery, post
+/// release, NI pull, or head/tail flit moved) in which every occupied
+/// FIFO either streamed (one pop, one push, consecutive entry times) or
+/// stayed frozen, each following cycle is the same cycle shifted by one,
+/// until the next head/tail flit moves, the next post falls due,
+/// max_cycles, or the watchdog budget.  Such windows are applied in one
+/// update linear in the active routers and NIs.  Both engines are
+/// bit-identical: SimStats, delivery times, observer callback sequences,
+/// and watchdog reports all match.  Fault plans and router_delay < 1
+/// always run on step().
 enum class EngineKind {
   kCycle,  ///< cycle-driven reference engine
   kEvent,  ///< event calendar + closed-form fast-forward, cycle fallback
@@ -80,6 +88,18 @@ struct SimStats {
   int fault_events = 0;            ///< plan events applied so far
   int undelivered = 0;             ///< still pending when the last run returned
   bool watchdog_fired = false;
+};
+
+/// What the kEvent kernel did (DESIGN.md §6.5).  These are engine
+/// artifacts, not workload observables, so they live outside SimStats
+/// (which is bit-identical across engines); all zero under kCycle.
+struct EngineTelemetry {
+  long long event_cycles = 0;       ///< calendar cycles executed
+  long long ff_cycles = 0;          ///< cycles the calendar jumped over
+  int materializations = 0;         ///< flit-level microstate rebuilds
+  Time first_materialization = -1;  ///< cycle of the first one, or -1
+  long long shift_windows = 0;      ///< pure-shift windows applied
+  long long shifted_cycles = 0;     ///< cycles those windows covered
 };
 
 /// How the last run_until_idle() call ended.
@@ -187,6 +207,9 @@ class Simulator {
   [[nodiscard]] MessageTable& messages() { return messages_; }
   [[nodiscard]] const MessageTable& messages() const { return messages_; }
   [[nodiscard]] const SimStats& stats() const { return stats_; }
+  [[nodiscard]] const EngineTelemetry& engine_telemetry() const {
+    return telemetry_;
+  }
 
  private:
   struct Nic {
@@ -290,7 +313,11 @@ class Simulator {
 
   // --- hybrid event engine (cfg_.engine == kEvent only) ---
   std::unique_ptr<EventEngine> event_;  ///< lazily created on the first run
-  bool event_disabled_ = false;  ///< permanent cycle fallback for this sim
+  bool event_disabled_ = false;  ///< materialized: step() drives this sim
+  /// The current step() had a discrete event (see EngineKind), so the
+  /// cycle cannot open a pure-shift window.
+  bool shift_break_ = false;
+  EngineTelemetry telemetry_;
 
   Time cycle_ = 0;
   int inflight_flits_ = 0;

@@ -7,7 +7,10 @@
 // randomized sweep over mesh and BMIN, single-flit and deep-pipeline
 // router delays, fault-plan fallback, truncation + resume, and the
 // deadlocked-ring watchdog regression from the fast-forward accounting
-// fix.
+// fix.  The EngineEquivShift cases drive the post-materialization
+// pure-shift windows: 64 KB contended OPT-Tree runs, deep router delays
+// at both FIFO depths, 2-port NIs, handler posts, truncation, stall
+// reports and the watchdog inside would-be windows.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -69,6 +72,7 @@ struct RunCapture {
   std::string events;
   std::vector<Message> messages;
   std::string stall;
+  EngineTelemetry telemetry;
 };
 
 /// Runs `drive` on a fresh simulator under `engine` and captures every
@@ -88,6 +92,7 @@ RunCapture capture(const Topology& topo, SimConfig cfg, EngineKind engine,
   cap.events = obs.text();
   cap.messages = sim.messages().all();
   if (take_stall_report) cap.stall = sim.stall_report().to_string();
+  cap.telemetry = sim.engine_telemetry();
   return cap;
 }
 
@@ -119,14 +124,18 @@ void expect_equivalent(const RunCapture& cyc, const RunCapture& evt) {
   }
 }
 
-void run_both(const Topology& topo, SimConfig cfg,
-              const std::function<void(Simulator&)>& drive,
-              bool take_stall_report = false) {
+/// Runs `drive` under both engines, expects equivalence, and returns the
+/// event engine's capture (for telemetry checks).
+RunCapture run_both(const Topology& topo, SimConfig cfg,
+                    const std::function<void(Simulator&)>& drive,
+                    bool take_stall_report = false) {
   const RunCapture cyc =
       capture(topo, cfg, EngineKind::kCycle, drive, take_stall_report);
-  const RunCapture evt =
+  RunCapture evt =
       capture(topo, cfg, EngineKind::kEvent, drive, take_stall_report);
   expect_equivalent(cyc, evt);
+  EXPECT_EQ(cyc.telemetry.shift_windows, 0);  // kCycle never shifts
+  return evt;
 }
 
 Message mk(NodeId src, NodeId dst, int flits, Time ready = 0) {
@@ -336,6 +345,171 @@ TEST(EngineEquiv, DeliveryHandlersPostFollowUps) {
   });
 }
 
+// --- pure-shift windows: contended flow after materialization ----------
+
+/// Long worms from random sources: heads block, bodies freeze, and the
+/// winners stream for hundreds of cycles — the window-rich regime.
+void long_traffic(Simulator& sim, int nodes, int count, unsigned seed) {
+  std::mt19937 rng(seed);
+  std::uniform_int_distribution<int> node(0, nodes - 1);
+  std::uniform_int_distribution<int> flits(64, 600);
+  std::uniform_int_distribution<int> ready(0, 400);
+  for (int i = 0; i < count; ++i) {
+    const NodeId src = node(rng);
+    NodeId dst = node(rng);
+    if (dst == src) dst = (dst + 1) % nodes;
+    sim.post(mk(src, dst, flits(rng), ready(rng)));
+  }
+  sim.run_until_idle();
+}
+
+TEST(EngineEquivShift, MeshOptTree64KMostlyShifted) {
+  // The paper's contended case: OPT-Tree on the 16x16 mesh at 64 KB,
+  // on a placement whose first conflict comes early.  After the first
+  // blocked head the run is stepped, yet most of its cycles — and nearly
+  // all of the post-materialization span — are pure-shift windows.
+  const auto topo = mesh::make_mesh2d(16);
+  const auto p = analysis::sample_placements(37, 256, 32, 1)[0];
+  const RunCapture evt = run_both(*topo, SimConfig{}, [&](Simulator& sim) {
+    rt::MulticastRuntime rtm(rt::RuntimeConfig{});
+    rtm.run_algorithm(sim, McastAlgorithm::kOptTree, p.source, p.dests, 65536,
+                      &topo->shape());
+  });
+  EXPECT_GT(evt.stats.channel_conflicts, 0);
+  EXPECT_EQ(evt.telemetry.materializations, 1);
+  EXPECT_GT(evt.telemetry.first_materialization, 0);
+  EXPECT_GT(evt.telemetry.event_cycles, 0);
+  EXPECT_GT(evt.telemetry.shift_windows, 0);
+  EXPECT_GT(2 * evt.telemetry.shifted_cycles, evt.stats.cycles);
+  EXPECT_GT(10 * evt.telemetry.shifted_cycles,
+            9 * (evt.stats.cycles - evt.telemetry.first_materialization));
+}
+
+TEST(EngineEquivShift, BminOptTree64KMostlyShifted) {
+  const auto topo = bmin::make_bmin(128, bmin::UpPolicy::kSourceAddress);
+  const auto p = analysis::sample_placements(1, 128, 32, 1)[0];
+  const RunCapture evt = run_both(*topo, SimConfig{}, [&](Simulator& sim) {
+    rt::MulticastRuntime rtm(rt::RuntimeConfig{});
+    rtm.run_algorithm(sim, McastAlgorithm::kOptTree, p.source, p.dests,
+                      65536);
+  });
+  EXPECT_GT(evt.stats.channel_conflicts, 0);
+  EXPECT_EQ(evt.telemetry.materializations, 1);
+  EXPECT_GT(2 * evt.telemetry.shifted_cycles, evt.stats.cycles);
+}
+
+TEST(EngineEquivShift, DeepRouterDelayBothFifoDepths) {
+  // R = 3: streaming FIFOs hold m >= R flits; at the minimum depth R + 1
+  // frozen bodies are one flit denser than streaming ones, at depth 8 a
+  // restarted body streams with m up to 8.
+  const auto topo = mesh::make_mesh2d(8);
+  for (const int depth : {4, 8}) {
+    SimConfig cfg;
+    cfg.router_delay = 3;
+    cfg.fifo_capacity = depth;
+    for (unsigned seed = 31; seed <= 33; ++seed) {
+      SCOPED_TRACE(testing::Message() << "depth " << depth << " seed " << seed);
+      const RunCapture evt = run_both(*topo, cfg, [seed](Simulator& sim) {
+        long_traffic(sim, 64, 24, seed);
+      });
+      EXPECT_GT(evt.stats.channel_conflicts, 0);
+      EXPECT_GT(evt.telemetry.shift_windows, 0);
+    }
+  }
+}
+
+TEST(EngineEquivShift, TwoPortNis) {
+  // Two injection engines per node stream (or stall) independently.
+  const mesh::MeshTopology topo(MeshShape::square2d(8),
+                                mesh::RouteOrder::kHighestFirst, 2);
+  for (unsigned seed = 41; seed <= 43; ++seed) {
+    SCOPED_TRACE(seed);
+    const RunCapture evt = run_both(topo, SimConfig{}, [seed](Simulator& sim) {
+      std::mt19937 rng(seed);
+      std::uniform_int_distribution<int> node(0, 63);
+      std::uniform_int_distribution<int> flits(100, 500);
+      for (int i = 0; i < 12; ++i) {
+        const NodeId src = node(rng) % 8;  // few sources: both engines busy
+        NodeId dst = node(rng);
+        if (dst == src) dst = (dst + 9) % 64;
+        sim.post(mk(src, dst, flits(rng), 0));
+      }
+      sim.run_until_idle();
+    });
+    EXPECT_GT(evt.telemetry.shift_windows, 0);
+  }
+}
+
+TEST(EngineEquivShift, HandlerPostsLandInsideWindows) {
+  // Two long worms contend through node 18's row while short messages
+  // ping-pong; every delivery posts a follow-up a few cycles out, which
+  // must cut the surrounding shift window exactly at its ready time.
+  const auto topo = mesh::make_mesh2d(8);
+  const RunCapture evt = run_both(*topo, SimConfig{}, [](Simulator& sim) {
+    int follow_ups = 0;
+    sim.set_delivery_handler([&](const Message& m) {
+      if (m.flits != 6 || follow_ups >= 40) return;
+      ++follow_ups;
+      sim.post(mk(m.dst, m.src, 6, sim.now() + 37 + follow_ups % 5));
+    });
+    sim.post(mk(16, 23, 3000));
+    sim.post(mk(17, 22, 3000, 2));
+    sim.post(mk(56, 63, 6, 5));
+    sim.run_until_idle();
+  });
+  EXPECT_GT(evt.stats.channel_conflicts, 0);
+  EXPECT_GT(evt.telemetry.shift_windows, 10);
+}
+
+/// Two worms contending for one row: the second blocks behind the first
+/// for ~2000 cycles, a long window-rich stretch.
+void contended_pair(Simulator& sim) {
+  sim.post(mk(16, 23, 2000));
+  sim.post(mk(17, 22, 2000, 2));
+}
+
+TEST(EngineEquivShift, TruncateInsideWindowThenResume) {
+  const auto topo = mesh::make_mesh2d(8);
+  for (const Time cut : {700, 1501, 2333}) {
+    SCOPED_TRACE(cut);
+    const RunCapture evt = run_both(
+        *topo, SimConfig{},
+        [cut](Simulator& sim) {
+          contended_pair(sim);
+          EXPECT_EQ(sim.run_until_idle(cut), cut);
+          EXPECT_EQ(sim.run_status(), RunStatus::kTruncated);
+          sim.run_until_idle();
+          EXPECT_EQ(sim.run_status(), RunStatus::kCompleted);
+        },
+        /*take_stall_report=*/true);
+    EXPECT_GT(evt.telemetry.shift_windows, 0);
+  }
+}
+
+TEST(EngineEquivShift, StallReportMidWindow) {
+  // stall_report() between runs that stop inside shift windows must show
+  // exactly the cycle engine's FIFOs, reservations and block counts.
+  const auto topo = mesh::make_mesh2d(8);
+  std::string reports[2];
+  for (const EngineKind engine : {EngineKind::kCycle, EngineKind::kEvent}) {
+    SimConfig cfg;
+    cfg.engine = engine;
+    Simulator sim(*topo, cfg);
+    contended_pair(sim);
+    std::string& out = reports[engine == EngineKind::kCycle ? 0 : 1];
+    for (const Time cut : {900, 1200, 1777}) {
+      sim.run_until_idle(cut);
+      out += sim.stall_report(cut).to_string();
+    }
+    sim.run_until_idle();
+    out += sim.stall_report().to_string();
+    if (engine == EngineKind::kEvent) {
+      EXPECT_GT(sim.engine_telemetry().shifted_cycles, 1000);
+    }
+  }
+  EXPECT_EQ(reports[0], reports[1]);
+}
+
 // --- watchdog: the deadlocked-ring regression (satellite fix) ----------
 
 // Two routers in a ring; traffic circulates and never ejects, so a long
@@ -391,6 +565,44 @@ TEST(EngineEquiv, WatchdogRingWedgeIdenticalUnderBothEngines) {
   EXPECT_EQ(report_stalled[0], report_stalled[1]);
   EXPECT_EQ(stats_by_engine[0].cycles, stats_by_engine[1].cycles);
   EXPECT_TRUE(stats_by_engine[1].watchdog_fired);
+}
+
+TEST(EngineEquivShift, WatchdogRingWedgeSameCycleSameReport) {
+  // The wedged ring is fully frozen: after materialization every cycle is
+  // a progress-free shift, so windows run straight up to the watchdog
+  // budget and the reference step() fires it on the same cycle with the
+  // same report and the same per-cycle on_blocked stream.
+  RingTopology topo;
+  SimConfig cfg;
+  cfg.fifo_capacity = 2;
+  cfg.watchdog_cycles = 5000;
+  std::string what[2];
+  std::string events[2];
+  SimStats stats[2];
+  EngineTelemetry tel;
+  for (const EngineKind engine : {EngineKind::kCycle, EngineKind::kEvent}) {
+    cfg.engine = engine;
+    Simulator sim(topo, cfg);
+    RecordingObserver obs;
+    sim.set_observer(&obs);
+    sim.post(mk(0, 1, 32));
+    const int idx = engine == EngineKind::kCycle ? 0 : 1;
+    try {
+      sim.run_until_idle();
+      ADD_FAILURE() << "expected watchdog to fire";
+    } catch (const WatchdogError& e) {
+      what[idx] = e.what();
+    }
+    events[idx] = obs.text();
+    stats[idx] = sim.stats();
+    if (engine == EngineKind::kEvent) tel = sim.engine_telemetry();
+  }
+  EXPECT_EQ(what[0], what[1]);
+  EXPECT_EQ(events[0], events[1]);
+  EXPECT_EQ(stats[0].cycles, stats[1].cycles);
+  EXPECT_EQ(stats[0].channel_conflicts, stats[1].channel_conflicts);
+  EXPECT_TRUE(stats[1].watchdog_fired);
+  EXPECT_GT(tel.shifted_cycles, 4000);
 }
 
 }  // namespace

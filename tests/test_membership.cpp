@@ -225,6 +225,39 @@ TEST(StreamFailover, WithoutFailoverTheDeadSourceEndsTheStream) {
   EXPECT_NO_THROW(verify::InvariantAuditor::audit_stream(r));
 }
 
+TEST(StreamFailover, SourceKillUnderLossWaitsForTheDetector) {
+  // Regression (the pcmcast reproducer): under 1e-3 loss the source dies
+  // while none of its records is open.  The run loop used to spin on
+  // pump() until its iteration guard and end the stream at 98/200 slots
+  // with no failover; it must instead wait for the heartbeat sweeps that
+  // confirm the death, fail over once, and commit every slot.
+  //   pcmcast --topology mesh:16 --algorithm u-mesh --bytes 64 --source 78
+  //     --dests 166,146,80,36,133,195,164,42,210,176,215,92,74,97,241
+  //     --stream 200 --window 8 --heartbeat 1197 --failover --rejoin
+  //     --faults "node:78@178894;drop:0.001;seed:6305388907919474356"
+  const auto topo = mesh::make_mesh2d(16);
+  rt::MulticastRuntime rtm(rt::RuntimeConfig{});
+  const rt::StreamRuntime srt(rtm);
+  const NodeId source = 78;
+  const std::vector<NodeId> dests = {166, 146, 80, 36, 133, 195, 164, 42,
+                                     210, 176, 215, 92, 74, 97, 241};
+  rt::StreamConfig cfg = membership_config(&topo->shape(), 8, 200, 1197, 64);
+  cfg.alg = McastAlgorithm::kUMesh;
+  cfg.failover = true;
+  cfg.rejoin = true;
+  sim::Simulator sim(*topo);
+  sim.set_fault_plan(sim::FaultPlan::parse(
+      "node:78@178894;drop:0.001;seed:6305388907919474356"));
+
+  const rt::StreamResult r = srt.run(sim, source, dests, cfg);
+  EXPECT_EQ(r.committed, 200);
+  EXPECT_EQ(r.failovers, 1);
+  ASSERT_EQ(r.dead_nodes.size(), 1u);
+  EXPECT_EQ(r.dead_nodes[0], source);
+  EXPECT_TRUE(r.complete);
+  EXPECT_NO_THROW(verify::InvariantAuditor::audit_stream(r));
+}
+
 // --- partition healing acceptance -----------------------------------------
 
 TEST(StreamRejoin, PartitionThenHealReadmitsEveryEvictedReceiver) {
@@ -263,6 +296,46 @@ TEST(StreamRejoin, PartitionThenHealReadmitsEveryEvictedReceiver) {
   }
   EXPECT_EQ(partitions, 3);
   EXPECT_EQ(rejoins, 3);
+}
+
+TEST(StreamRejoin, TwoReceiversHealedInOneSweepBothCatchUp) {
+  // Regression: receivers 54 and 63 sit in a cut-off 2x2 corner of the
+  // 8x8 mesh; both are evicted together, the stream commits on without
+  // them, and both heal in the same heartbeat sweep.  The second rejoin's
+  // epoch bump used to close the first one's delta catch-up records, so
+  // the first receiver ended with a 1-slot prefix.  Both must end with
+  // the full stream, with one epoch per membership event.
+  const auto topo = mesh::make_mesh2d(8);
+  rt::MulticastRuntime rtm(rt::RuntimeConfig{});
+  const rt::StreamRuntime srt(rtm);
+  const std::vector<NodeId> corner = {54, 55, 62, 63};
+  std::vector<NodeId> rest;
+  for (NodeId v = 0; v < topo->num_nodes(); ++v)
+    if (std::find(corner.begin(), corner.end(), v) == corner.end())
+      rest.push_back(v);
+  const std::vector<NodeId> dests = {9, 18, 27, 36, 45, 54, 63, 7, 56};
+  rt::StreamConfig cfg = membership_config(&topo->shape(), 4, 200, 400, 256);
+  cfg.rejoin = true;
+  sim::Simulator sim(*topo);
+  sim.set_fault_plan(sim::FaultPlan::partition(*topo, rest, corner, 3000, 20000));
+
+  const rt::StreamResult r = srt.run(sim, 0, dests, cfg);
+  std::vector<Time> rejoin_times;
+  int partitions = 0;
+  for (const rt::StreamEvent& ev : r.trace) {
+    if (ev.kind == Kind::kPartition) ++partitions;
+    if (ev.kind == Kind::kRejoin) rejoin_times.push_back(ev.t);
+  }
+  EXPECT_EQ(partitions, 2);
+  ASSERT_EQ(rejoin_times.size(), 2u);
+  EXPECT_EQ(rejoin_times[0], rejoin_times[1]) << "both heal in one sweep";
+  EXPECT_EQ(r.rejoins, 2);
+  EXPECT_EQ(r.epoch, 4) << "one epoch per eviction and per rejoin";
+  EXPECT_EQ(r.committed, 200);
+  for (std::size_t pos = 0; pos < r.delivered_prefix.size(); ++pos)
+    EXPECT_EQ(r.delivered_prefix[pos], 200) << "pos " << pos;
+  EXPECT_TRUE(r.complete);
+  EXPECT_NO_THROW(verify::InvariantAuditor::audit_stream(r));
 }
 
 // --- satellite: sub-threshold blips are not failures ----------------------
