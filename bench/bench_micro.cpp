@@ -1,8 +1,9 @@
 // E9 — Engineering microbenchmarks (google-benchmark): costs of the
 // building blocks — the O(k) DP, tree expansion, chain sorting, path
-// tracing, and raw simulator throughput.
+// tracing, raw simulator throughput, and membership heartbeat sweeps.
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <numeric>
 
 #include "analysis/sampling.hpp"
@@ -10,6 +11,7 @@
 #include "core/algorithms.hpp"
 #include "mesh/mesh_topology.hpp"
 #include "runtime/mcast_runtime.hpp"
+#include "runtime/membership.hpp"
 
 namespace {
 
@@ -136,5 +138,52 @@ void BM_SimulatorContendedMulticast(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SimulatorContendedMulticast)->Unit(benchmark::kMillisecond);
+
+void BM_MembershipSweep(benchmark::State& state) {
+  // One heartbeat sweep (lease ladder + plurality) of a 16-member group.
+  // Arg 0: the 16x16 mesh (0) or the 64-node BMIN (1).  Arg 1: a steady
+  // network (0), or one link toggled before every sweep (1), so each
+  // sweep also rebuilds the reach sets it reads.
+  const std::unique_ptr<sim::Topology> topo =
+      state.range(0) == 0 ? std::unique_ptr<sim::Topology>(mesh::make_mesh2d(16))
+                          : std::unique_ptr<sim::Topology>(bmin::make_bmin(64));
+  const bool toggle = state.range(1) != 0;
+  const auto p = analysis::sample_placements(5, topo->num_nodes(), 16, 1)[0];
+  std::vector<NodeId> members = {p.source};
+  members.insert(members.end(), p.dests.begin(), p.dests.end());
+  const int mid = topo->num_routers() / 2;
+  int port = 0;
+  while (!topo->link(mid, port).valid()) ++port;
+  constexpr Time kPeriod = 100;
+  constexpr int kToggles = 1 << 12;  // plan length; the run restarts after
+  sim::FaultPlan plan;
+  for (int i = 0; toggle && i < kToggles; ++i)
+    plan.link_events.push_back({(i + 1) * kPeriod, mid, port, i % 2 == 1});
+  std::unique_ptr<sim::Simulator> sim;
+  std::unique_ptr<rt::MembershipService> svc;
+  Time t = kToggles * kPeriod;
+  long long sweeps = 0;
+  long long rebuilds = 0;
+  for (auto _ : state) {
+    if (t >= kToggles * kPeriod) {
+      state.PauseTiming();
+      if (svc) rebuilds += svc->reach_rebuilds();
+      sim = std::make_unique<sim::Simulator>(*topo);
+      sim->set_fault_plan(plan);
+      svc = std::make_unique<rt::MembershipService>(
+          *sim, members, rt::MembershipConfig{.heartbeat_period = kPeriod});
+      t = 0;
+      state.ResumeTiming();
+    }
+    t += kPeriod;
+    sim->advance_idle_to(t);
+    benchmark::DoNotOptimize(svc->sweep(members[0]));
+    ++sweeps;
+  }
+  rebuilds += svc->reach_rebuilds();
+  state.counters["rebuilds/sweep"] =
+      static_cast<double>(rebuilds) / static_cast<double>(sweeps);
+}
+BENCHMARK(BM_MembershipSweep)->ArgsProduct({{0, 1}, {0, 1}});
 
 }  // namespace

@@ -35,6 +35,9 @@ class MeshShape {
   /// delta_d(x): digit of node x in dimension d.
   [[nodiscard]] int digit(NodeId x, int d) const;
 
+  /// Node-id step of one unit in dimension d (product of the lower sides).
+  [[nodiscard]] int stride(int d) const { return strides_.at(d); }
+
   [[nodiscard]] std::vector<int> coords(NodeId x) const;
   [[nodiscard]] NodeId node_at(const std::vector<int>& c) const;
 

@@ -14,14 +14,12 @@ sim::PortRef MeshTopology::link(int router, int out_port) const {
   if (out_port >= local_port()) return {};  // ejection channel, not a link
   const int d = out_port / 2;
   const int dir = (out_port % 2 == 1) ? +1 : -1;
-  const int digit = shape_.digit(router, d);
-  const int next = digit + dir;
+  const int next = shape_.digit(router, d) + dir;
   if (next < 0 || next >= shape_.dim(d)) return {};  // mesh edge: unwired
-  std::vector<int> c = shape_.coords(router);
-  c[d] = next;
   // The flit arrives at the neighbour on the input port facing back at us:
   // same dimension, opposite direction.
-  return sim::PortRef{shape_.node_at(c), (out_port % 2 == 1) ? out_port - 1 : out_port + 1};
+  return sim::PortRef{router + dir * shape_.stride(d),
+                      (out_port % 2 == 1) ? out_port - 1 : out_port + 1};
 }
 
 sim::PortRef MeshTopology::node_attach(NodeId n) const {
@@ -64,8 +62,7 @@ void MeshTopology::append_path(NodeId src, NodeId dst,
   int cur = src;
   for (int i = 0; i < n; ++i) {
     const int d = (order_ == RouteOrder::kHighestFirst) ? n - 1 - i : i;
-    int stride = 1;
-    for (int e = 0; e < d; ++e) stride *= shape_.dim(e);
+    const int stride = shape_.stride(d);
     const int want = shape_.digit(dst, d);
     int cur_digit = shape_.digit(cur, d);
     if (cur_digit == want) continue;

@@ -30,30 +30,57 @@ MembershipService::MembershipService(const sim::Simulator& sim,
     throw std::invalid_argument("MembershipService: empty member list");
   const sim::Topology& topo = sim_.topology();
   const std::size_t n = members_.size();
+  const int routers = topo.num_routers();
+  const int radix = topo.radix();
   state_.assign(n, MemberState::kAlive);
   misses_.assign(n, 0);
   router_of_.resize(n);
   eject_of_.assign(n, -1);
+  reach_slot_.resize(n);
+  // Members attached to one router share its reach sets.
+  std::vector<int> slot_of_router(static_cast<std::size_t>(routers), -1);
   for (std::size_t m = 0; m < n; ++m) {
     const NodeId node = members_[m];
     if (node < 0 || node >= topo.num_nodes())
       throw std::invalid_argument("MembershipService: member outside topology");
     router_of_[m] = topo.node_attach(node).router;
+    int& slot = slot_of_router[static_cast<std::size_t>(router_of_[m])];
+    if (slot < 0) {
+      slot = static_cast<int>(reach_.size());
+      reach_.emplace_back();
+    }
+    reach_slot_[m] = slot;
   }
-  const int routers = topo.num_routers();
-  const int radix = topo.radix();
-  rev_.assign(static_cast<std::size_t>(routers), {});
+  // Flat adjacency in both directions, built once: the reach searches
+  // then never dispatch Topology::link.
+  fwd_.off.assign(static_cast<std::size_t>(routers) + 1, 0);
+  bwd_.off.assign(static_cast<std::size_t>(routers) + 1, 0);
   for (int r = 0; r < routers; ++r) {
     for (int q = 0; q < radix; ++q) {
       const sim::ChannelId c = topo.channel_id(r, q);
       const sim::PortRef dst = topo.link(r, q);
-      if (dst.valid()) rev_[static_cast<std::size_t>(dst.router)].push_back(c);
+      if (dst.valid()) {
+        fwd_.arcs.push_back({c, dst.router});
+        ++fwd_.off[static_cast<std::size_t>(r) + 1];
+        ++bwd_.off[static_cast<std::size_t>(dst.router) + 1];
+      }
       const NodeId ej = topo.ejector(r, q);
       if (ej == kInvalidNode) continue;
       for (std::size_t m = 0; m < n; ++m)
         if (members_[m] == ej && eject_of_[m] < 0) eject_of_[m] = c;
     }
   }
+  for (int r = 0; r < routers; ++r) {
+    fwd_.off[static_cast<std::size_t>(r) + 1] += fwd_.off[static_cast<std::size_t>(r)];
+    bwd_.off[static_cast<std::size_t>(r) + 1] += bwd_.off[static_cast<std::size_t>(r)];
+  }
+  // Reverse arcs point back at the channel's source router.
+  bwd_.arcs.resize(fwd_.arcs.size());
+  std::vector<int> next(bwd_.off.begin(), bwd_.off.end() - 1);
+  for (const Arc& a : fwd_.arcs)
+    bwd_.arcs[static_cast<std::size_t>(next[static_cast<std::size_t>(a.router)]++)] =
+        Arc{a.channel, a.channel / radix};
+  queue_.reserve(static_cast<std::size_t>(routers));
   for (std::size_t m = 0; m < n; ++m)
     if (eject_of_[m] < 0)
       throw std::invalid_argument("MembershipService: member has no ejector");
@@ -63,43 +90,44 @@ bool MembershipService::member_up(int m) const {
   return !sim_.node_failed(members_[static_cast<std::size_t>(m)]);
 }
 
-void MembershipService::reach_sets(int from_router, std::vector<char>& fwd,
-                                   std::vector<char>& bwd) const {
-  const sim::Topology& topo = sim_.topology();
-  const int routers = topo.num_routers();
-  const int radix = topo.radix();
-  fwd.assign(static_cast<std::size_t>(routers), 0);
-  bwd.assign(static_cast<std::size_t>(routers), 0);
-  std::vector<int> queue;
-  queue.reserve(static_cast<std::size_t>(routers));
-  // Forward: where can a probe from `from_router` get to over live channels?
-  fwd[static_cast<std::size_t>(from_router)] = 1;
-  queue.push_back(from_router);
-  for (std::size_t h = 0; h < queue.size(); ++h) {
-    const int r = queue[h];
-    for (int q = 0; q < radix; ++q) {
-      const sim::ChannelId c = topo.channel_id(r, q);
-      if (!sim_.channel_live(c)) continue;
-      const sim::PortRef dst = topo.link(r, q);
-      if (!dst.valid() || fwd[static_cast<std::size_t>(dst.router)]) continue;
-      fwd[static_cast<std::size_t>(dst.router)] = 1;
-      queue.push_back(dst.router);
+void MembershipService::search(const Adjacency& adj, int from,
+                               std::vector<char>& seen) const {
+  seen.assign(static_cast<std::size_t>(sim_.topology().num_routers()), 0);
+  seen[static_cast<std::size_t>(from)] = 1;
+  queue_.clear();
+  queue_.push_back(from);
+  for (std::size_t h = 0; h < queue_.size(); ++h) {
+    const std::size_t r = static_cast<std::size_t>(queue_[h]);
+    for (int i = adj.off[r]; i < adj.off[r + 1]; ++i) {
+      const Arc& a = adj.arcs[static_cast<std::size_t>(i)];
+      if (seen[static_cast<std::size_t>(a.router)] || !sim_.channel_live(a.channel))
+        continue;
+      seen[static_cast<std::size_t>(a.router)] = 1;
+      queue_.push_back(a.router);
     }
   }
-  // Backward: from which routers can an answer get back to `from_router`?
-  queue.clear();
-  bwd[static_cast<std::size_t>(from_router)] = 1;
-  queue.push_back(from_router);
-  for (std::size_t h = 0; h < queue.size(); ++h) {
-    const int r = queue[h];
-    for (const sim::ChannelId c : rev_[static_cast<std::size_t>(r)]) {
-      if (!sim_.channel_live(c)) continue;
-      const int src = c / radix;
-      if (bwd[static_cast<std::size_t>(src)]) continue;
-      bwd[static_cast<std::size_t>(src)] = 1;
-      queue.push_back(src);
-    }
-  }
+}
+
+const MembershipService::Reach& MembershipService::reach_from(int m) const {
+  Reach& reach = reach_[static_cast<std::size_t>(reach_slot_[static_cast<std::size_t>(m)])];
+  // channel_live changes only when the simulator applies a fault-plan
+  // event, and each applied event bumps fault_events: an exact cache key
+  // (node events merely over-invalidate).
+  const int version = sim_.stats().fault_events;
+  if (reach.version == version) return reach;
+  const int from = router_of_[static_cast<std::size_t>(m)];
+  search(fwd_, from, reach.fwd);  // where can a probe from `from` get to?
+  search(bwd_, from, reach.bwd);  // from where can an answer get back?
+  reach.version = version;
+  ++reach_rebuilds_;
+  return reach;
+}
+
+bool MembershipService::answers(int from, int to, const Reach& reach) const {
+  const std::size_t r = static_cast<std::size_t>(router_of_[static_cast<std::size_t>(to)]);
+  return sim_.channel_live(eject_of_[static_cast<std::size_t>(from)]) &&
+         reach.fwd[r] != 0 && reach.bwd[r] != 0 &&
+         sim_.channel_live(eject_of_[static_cast<std::size_t>(to)]);
 }
 
 bool MembershipService::round_trip_reachable(NodeId from, NodeId to) const {
@@ -111,60 +139,53 @@ bool MembershipService::round_trip_reachable(NodeId from, NodeId to) const {
   if (fi < 0 || ti < 0)
     throw std::invalid_argument("round_trip_reachable: not a member");
   if (fi == ti) return sim_.channel_live(eject_of_[static_cast<std::size_t>(fi)]);
-  std::vector<char> fwd, bwd;
-  reach_sets(router_of_[static_cast<std::size_t>(fi)], fwd, bwd);
-  return fwd[static_cast<std::size_t>(router_of_[static_cast<std::size_t>(ti)])] &&
-         bwd[static_cast<std::size_t>(router_of_[static_cast<std::size_t>(ti)])] &&
-         sim_.channel_live(eject_of_[static_cast<std::size_t>(ti)]) &&
-         sim_.channel_live(eject_of_[static_cast<std::size_t>(fi)]);
+  return answers(fi, ti, reach_from(fi));
 }
 
-std::vector<int> MembershipService::plurality_members() const {
+int MembershipService::plurality_label() const {
   const std::size_t n = members_.size();
   // Eligible voters: up members not already adjudicated.
-  std::vector<char> eligible(n, 0);
+  label_.resize(n);
   for (std::size_t m = 0; m < n; ++m)
-    eligible[m] = (state_[m] == MemberState::kAlive ||
-                   state_[m] == MemberState::kSuspect) &&
-                  member_up(static_cast<int>(m));
-  std::vector<int> label(n, -1);
-  std::vector<std::vector<int>> comps;
-  std::vector<char> fwd, bwd;
-  for (std::size_t m = 0; m < n; ++m) {
-    if (!eligible[m] || label[m] != -1) continue;
-    const int id = static_cast<int>(comps.size());
-    comps.emplace_back();
-    reach_sets(router_of_[m], fwd, bwd);
-    const bool self_ok = sim_.channel_live(eject_of_[m]);
-    for (std::size_t m2 = m; m2 < n; ++m2) {
-      if (!eligible[m2] || label[m2] != -1) continue;
-      const std::size_t r2 = static_cast<std::size_t>(router_of_[m2]);
-      const bool reach = (m2 == m) || (self_ok && fwd[r2] && bwd[r2] &&
-                                       sim_.channel_live(eject_of_[m2]));
-      if (!reach) continue;
-      label[m2] = id;
-      comps[static_cast<std::size_t>(id)].push_back(static_cast<int>(m2));
-    }
-  }
+    label_[m] = (state_[m] == MemberState::kAlive ||
+                 state_[m] == MemberState::kSuspect) &&
+                        member_up(static_cast<int>(m))
+                    ? -1
+                    : -2;
   // Plurality: largest component; ties broken by the lowest node id held.
+  int comps = 0;
   int best = -1;
   std::size_t best_size = 0;
   NodeId best_low = kInvalidNode;
-  for (std::size_t c = 0; c < comps.size(); ++c) {
+  for (std::size_t m = 0; m < n; ++m) {
+    if (label_[m] != -1) continue;
+    const int id = comps++;
+    const Reach& reach = reach_from(static_cast<int>(m));
+    std::size_t size = 0;
     NodeId low = kInvalidNode;
-    for (const int m : comps[c]) {
-      const NodeId node = members_[static_cast<std::size_t>(m)];
-      if (low == kInvalidNode || node < low) low = node;
+    for (std::size_t m2 = m; m2 < n; ++m2) {
+      if (label_[m2] != -1) continue;
+      if (m2 != m && !answers(static_cast<int>(m), static_cast<int>(m2), reach))
+        continue;
+      label_[m2] = id;
+      ++size;
+      if (low == kInvalidNode || members_[m2] < low) low = members_[m2];
     }
-    if (best < 0 || comps[c].size() > best_size ||
-        (comps[c].size() == best_size && low < best_low)) {
-      best = static_cast<int>(c);
-      best_size = comps[c].size();
+    if (best < 0 || size > best_size || (size == best_size && low < best_low)) {
+      best = id;
+      best_size = size;
       best_low = low;
     }
   }
-  if (best < 0) return {};
-  return comps[static_cast<std::size_t>(best)];
+  return best;
+}
+
+std::vector<int> MembershipService::plurality_members() const {
+  const int best = plurality_label();
+  std::vector<int> out;
+  for (std::size_t m = 0; m < members_.size(); ++m)
+    if (best >= 0 && label_[m] == best) out.push_back(static_cast<int>(m));
+  return out;
 }
 
 std::vector<MembershipEvent> MembershipService::sweep(NodeId observer) {
@@ -173,19 +194,14 @@ std::vector<MembershipEvent> MembershipService::sweep(NodeId observer) {
   for (std::size_t m = 0; m < n; ++m)
     if (members_[m] == observer) oi = static_cast<int>(m);
   if (oi < 0) throw std::invalid_argument("sweep: observer is not a member");
-  std::vector<char> fwd, bwd;
-  reach_sets(router_of_[static_cast<std::size_t>(oi)], fwd, bwd);
-  const bool observer_eject_ok =
-      sim_.channel_live(eject_of_[static_cast<std::size_t>(oi)]);
+  const Reach& from_observer = reach_from(oi);
   auto reach = [&](int m) {
-    if (m == oi) return observer_eject_ok;
-    const std::size_t r = static_cast<std::size_t>(router_of_[static_cast<std::size_t>(m)]);
-    return observer_eject_ok && fwd[r] != 0 && bwd[r] != 0 &&
-           sim_.channel_live(eject_of_[static_cast<std::size_t>(m)]);
+    if (m == oi) return sim_.channel_live(eject_of_[static_cast<std::size_t>(oi)]);
+    return answers(oi, m, from_observer);
   };
-  const std::vector<int> plur = plurality_members();
+  const int plur = plurality_label();
   const bool observer_plural =
-      std::find(plur.begin(), plur.end(), oi) != plur.end();
+      plur >= 0 && label_[static_cast<std::size_t>(oi)] == plur;
 
   std::vector<MembershipEvent> out;
   for (std::size_t m = 0; m < n; ++m) {

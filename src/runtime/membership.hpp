@@ -109,9 +109,39 @@ class MembershipService {
   /// and the answer can travel back, over live channels only.
   [[nodiscard]] bool round_trip_reachable(NodeId from, NodeId to) const;
 
+  /// Reach-set pairs (forward + backward search) computed so far.  The
+  /// sets depend only on the live channel set, so they are rebuilt once
+  /// per applied fault event at most, not per sweep or query.
+  [[nodiscard]] long long reach_rebuilds() const { return reach_rebuilds_; }
+
  private:
-  void reach_sets(int from_router, std::vector<char>& fwd,
-                  std::vector<char>& bwd) const;
+  /// One directed router-to-router link: its channel and far-end router.
+  struct Arc {
+    sim::ChannelId channel;
+    int router;
+  };
+  /// Flat adjacency: router r's arcs are arcs[off[r] .. off[r+1]).
+  struct Adjacency {
+    std::vector<int> off;
+    std::vector<Arc> arcs;
+  };
+  /// Round-trip reach sets of one attach router, valid while the
+  /// simulator's applied-fault count equals `version`.
+  struct Reach {
+    int version = -1;
+    std::vector<char> fwd;  ///< routers a probe can get to over live channels
+    std::vector<char> bwd;  ///< routers whose answer can get back
+  };
+
+  /// Member `m`'s attach-router reach sets, rebuilt only when a fault
+  /// event was applied since they were last computed.
+  const Reach& reach_from(int m) const;
+  void search(const Adjacency& adj, int from, std::vector<char>& seen) const;
+  /// `to` (!= `from`) answers a probe from `from`, given from's reach sets.
+  [[nodiscard]] bool answers(int from, int to, const Reach& reach) const;
+  /// Labels eligible members by component into label_ (-2: ineligible);
+  /// returns the plurality component's label, or -1 when none is eligible.
+  int plurality_label() const;
   [[nodiscard]] bool member_up(int m) const;
 
   const sim::Simulator& sim_;
@@ -121,7 +151,13 @@ class MembershipService {
   std::vector<int> misses_;
   std::vector<int> router_of_;               ///< attach router per member
   std::vector<sim::ChannelId> eject_of_;     ///< ejection channel per member
-  std::vector<std::vector<sim::ChannelId>> rev_;  ///< reverse adjacency
+  std::vector<int> reach_slot_;              ///< member -> reach_ index
+  Adjacency fwd_;                            ///< channels out of each router
+  Adjacency bwd_;                            ///< channels into each router
+  mutable std::vector<Reach> reach_;         ///< one per distinct router
+  mutable std::vector<int> label_;           ///< plurality_label scratch
+  mutable std::vector<int> queue_;           ///< search scratch
+  mutable long long reach_rebuilds_ = 0;
   obs::FlightRecorder* recorder_ = nullptr;
 };
 

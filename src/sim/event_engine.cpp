@@ -35,7 +35,7 @@ bool EventEngine::advance(Time max_cycles) {
     // even at t >= max_cycles.
     settle_window(max_cycles - 1);
     settle_hops(max_cycles - 1);
-    materialize(max_cycles);
+    materialize(max_cycles, MaterializeReason::kTruncation);
     return false;
   }
   if (t > sim_.cycle_) {
@@ -54,7 +54,7 @@ void EventEngine::finish_run() {
 void EventEngine::bail_out() {
   settle_window(sim_.cycle_ - 1);
   settle_hops(sim_.cycle_ - 1);
-  materialize(sim_.cycle_);
+  materialize(sim_.cycle_, MaterializeReason::kBail);
 }
 
 void EventEngine::sched(Time cycle, Ev phase, int a, int b) {
@@ -142,7 +142,7 @@ bool EventEngine::commit_arbitrations(Time t) {
         // The reference engine throws from arbitrate() this cycle; replay
         // from the exact microstate so earlier grants in this sweep and
         // the error text come out verbatim.
-        materialize(t);
+        materialize(t, MaterializeReason::kRouting);
         return false;
       }
       int granted = -1;
@@ -157,13 +157,15 @@ bool EventEngine::commit_arbitrations(Time t) {
         break;
       }
       if (granted < 0) {
-        materialize(t);  // contention: the cycle engine replays the block
+        // Contention: the cycle engine replays the block.
+        materialize(t, MaterializeReason::kContention);
         return false;
       }
       const int cid = router * radix + granted;
       if (sim_.eject_cache_[static_cast<std::size_t>(cid)] == kInvalidNode &&
           !sim_.link_cache_[static_cast<std::size_t>(cid)].valid()) {
-        materialize(t);  // unwired channel: transfer() throws verbatim
+        // Unwired channel: transfer() throws verbatim.
+        materialize(t, MaterializeReason::kRouting);
         return false;
       }
       tentative_.push_back(cid);
@@ -396,9 +398,12 @@ void EventEngine::settle_hops(Time upto) {
   }
 }
 
-void EventEngine::materialize(Time at) {
+void EventEngine::materialize(Time at, MaterializeReason why) {
   EngineTelemetry& tel = sim_.telemetry_;
-  if (tel.materializations++ == 0) tel.first_materialization = at;
+  if (tel.materializations++ == 0) {
+    tel.first_materialization = at;
+    tel.first_reason = why;
+  }
   settle_window(at - 1);
   settle_hops(at - 1);
   // Rebuild the exact start-of-cycle `at` microstate from the closed

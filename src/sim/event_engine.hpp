@@ -183,7 +183,7 @@ class EventEngine {
   /// (idempotent via Worm::hops_settled).
   void settle_hops(Time upto);
 
-  void materialize(Time at);
+  void materialize(Time at, MaterializeReason why);
   /// Emits the on_blocked calls of `d` shifted cycles after `t`.
   void emit_blocked(Time t, Time d);
 

@@ -90,6 +90,15 @@ struct SimStats {
   bool watchdog_fired = false;
 };
 
+/// Why the kEvent kernel rebuilt the flit-level microstate.
+enum class MaterializeReason {
+  kNone,        ///< never materialized
+  kContention,  ///< a head lost arbitration (a self-blocked wedge included)
+  kTruncation,  ///< max_cycles cut the run with worms in flight
+  kRouting,     ///< no route or an unwired channel: step() throws verbatim
+  kBail,        ///< defensive: no future event while busy, or stall_report()
+};
+
 /// What the kEvent kernel did (DESIGN.md §6.5).  These are engine
 /// artifacts, not workload observables, so they live outside SimStats
 /// (which is bit-identical across engines); all zero under kCycle.
@@ -98,6 +107,7 @@ struct EngineTelemetry {
   long long ff_cycles = 0;          ///< cycles the calendar jumped over
   int materializations = 0;         ///< flit-level microstate rebuilds
   Time first_materialization = -1;  ///< cycle of the first one, or -1
+  MaterializeReason first_reason = MaterializeReason::kNone;  ///< and why
   long long shift_windows = 0;      ///< pure-shift windows applied
   long long shifted_cycles = 0;     ///< cycles those windows covered
 };

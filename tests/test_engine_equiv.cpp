@@ -179,6 +179,8 @@ TEST(EngineEquiv, GoldenMeshOptMeshContentionFree) {
   EXPECT_EQ(evt.stats.channel_conflicts, 0);
   EXPECT_EQ(evt.stats.messages_delivered, 31);
   EXPECT_EQ(evt.stats.max_inflight_flits, 67);
+  EXPECT_EQ(evt.telemetry.materializations, 0);
+  EXPECT_EQ(evt.telemetry.first_reason, MaterializeReason::kNone);
 }
 
 TEST(EngineEquiv, GoldenBminAdaptiveOptTree) {
@@ -292,7 +294,7 @@ TEST(EngineEquiv, FaultPlanFallsBackIdentically) {
 
 TEST(EngineEquiv, TruncationMidFlightAndResume) {
   const auto topo = mesh::make_mesh2d(4);
-  run_both(
+  const RunCapture evt = run_both(
       *topo, SimConfig{},
       [](Simulator& sim) {
         sim.post(mk(0, 15, 1000));
@@ -303,6 +305,8 @@ TEST(EngineEquiv, TruncationMidFlightAndResume) {
         EXPECT_EQ(sim.run_status(), RunStatus::kCompleted);
       },
       /*take_stall_report=*/true);
+  EXPECT_EQ(evt.telemetry.first_materialization, 50);
+  EXPECT_EQ(evt.telemetry.first_reason, MaterializeReason::kTruncation);
 }
 
 TEST(EngineEquiv, StallReportMidFlight) {
@@ -378,6 +382,7 @@ TEST(EngineEquivShift, MeshOptTree64KMostlyShifted) {
   EXPECT_GT(evt.stats.channel_conflicts, 0);
   EXPECT_EQ(evt.telemetry.materializations, 1);
   EXPECT_GT(evt.telemetry.first_materialization, 0);
+  EXPECT_EQ(evt.telemetry.first_reason, MaterializeReason::kContention);
   EXPECT_GT(evt.telemetry.event_cycles, 0);
   EXPECT_GT(evt.telemetry.shift_windows, 0);
   EXPECT_GT(2 * evt.telemetry.shifted_cycles, evt.stats.cycles);
@@ -603,6 +608,54 @@ TEST(EngineEquivShift, WatchdogRingWedgeSameCycleSameReport) {
   EXPECT_EQ(stats[0].channel_conflicts, stats[1].channel_conflicts);
   EXPECT_TRUE(stats[1].watchdog_fired);
   EXPECT_GT(tel.shifted_cycles, 4000);
+  // The worm blocks on its own reservation: a contention hand-off.
+  EXPECT_EQ(tel.first_reason, MaterializeReason::kContention);
+}
+
+// One router, two nodes, no links: every head is either sent to unwired
+// port 0 or offered no route at all.  Both engines throw the same error;
+// the event engine first hands the exact microstate to step().
+class MisroutingTopology final : public Topology {
+ public:
+  explicit MisroutingTopology(bool offer_route) : offer_route_(offer_route) {}
+  [[nodiscard]] int num_routers() const override { return 1; }
+  [[nodiscard]] int radix() const override { return 2; }
+  [[nodiscard]] int num_nodes() const override { return 2; }
+  [[nodiscard]] PortRef link(int, int) const override { return {}; }
+  [[nodiscard]] PortRef node_attach(NodeId n) const override {
+    return PortRef{0, static_cast<int>(n)};
+  }
+  [[nodiscard]] NodeId ejector(int, int) const override { return kInvalidNode; }
+  void route(int, int, NodeId, NodeId, std::vector<int>& c) const override {
+    if (offer_route_) c.push_back(0);
+  }
+
+ private:
+  bool offer_route_;
+};
+
+TEST(EngineEquiv, RoutingErrorsMaterializeWithTheirReason) {
+  for (const bool offer_route : {true, false}) {
+    MisroutingTopology topo(offer_route);
+    std::string what[2];
+    EngineTelemetry tel;
+    for (const EngineKind engine : {EngineKind::kCycle, EngineKind::kEvent}) {
+      SimConfig cfg;
+      cfg.engine = engine;
+      Simulator sim(topo, cfg);
+      sim.post(mk(0, 1, 2));
+      try {
+        sim.run_until_idle();
+        ADD_FAILURE() << "expected a routing error";
+      } catch (const std::logic_error& e) {
+        what[engine == EngineKind::kCycle ? 0 : 1] = e.what();
+      }
+      if (engine == EngineKind::kEvent) tel = sim.engine_telemetry();
+    }
+    EXPECT_EQ(what[0], what[1]);
+    EXPECT_EQ(tel.materializations, 1);
+    EXPECT_EQ(tel.first_reason, MaterializeReason::kRouting);
+  }
 }
 
 }  // namespace

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "analysis/sampling.hpp"
+#include "bmin/bmin_topology.hpp"
 #include "mesh/mesh_topology.hpp"
 #include "runtime/mcast_runtime.hpp"
 #include "runtime/membership.hpp"
@@ -157,6 +158,176 @@ TEST(MembershipService, SuspicionClearsWhenTheLeaseRenews) {
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].kind, MKind::kClear);
   EXPECT_EQ(svc.state(1), rt::MemberState::kAlive);
+}
+
+// --- reach-set cache vs a reference search under churn ---------------------
+
+/// Routers reachable from `from` over live channels (forward), or routers
+/// that can reach `from` (backward), walking Topology::link directly.
+std::vector<char> reference_reach(const sim::Simulator& sim, int from,
+                                  bool forward) {
+  const sim::Topology& topo = sim.topology();
+  std::vector<char> seen(static_cast<std::size_t>(topo.num_routers()), 0);
+  std::vector<int> queue = {from};
+  seen[static_cast<std::size_t>(from)] = 1;
+  for (std::size_t h = 0; h < queue.size(); ++h) {
+    for (int r = 0; r < topo.num_routers(); ++r) {
+      for (int q = 0; q < topo.radix(); ++q) {
+        const sim::PortRef dst = topo.link(r, q);
+        if (!dst.valid() || !sim.channel_live(topo.channel_id(r, q))) continue;
+        const int near = forward ? r : dst.router;
+        const int far = forward ? dst.router : r;
+        if (near != queue[h] || seen[static_cast<std::size_t>(far)]) continue;
+        seen[static_cast<std::size_t>(far)] = 1;
+        queue.push_back(far);
+      }
+    }
+  }
+  return seen;
+}
+
+bool reference_eject_live(const sim::Simulator& sim, NodeId node) {
+  const sim::Topology& topo = sim.topology();
+  for (int r = 0; r < topo.num_routers(); ++r)
+    for (int q = 0; q < topo.radix(); ++q)
+      if (topo.ejector(r, q) == node) return sim.channel_live(topo.channel_id(r, q));
+  return false;
+}
+
+bool reference_round_trip(const sim::Simulator& sim, NodeId from, NodeId to) {
+  if (from == to) return reference_eject_live(sim, from);
+  const sim::Topology& topo = sim.topology();
+  const int a = topo.node_attach(from).router;
+  const int b = topo.node_attach(to).router;
+  return reference_eject_live(sim, from) && reference_eject_live(sim, to) &&
+         reference_reach(sim, a, true)[static_cast<std::size_t>(b)] &&
+         reference_reach(sim, a, false)[static_cast<std::size_t>(b)];
+}
+
+/// Greedy components of mutually round-trip reachable eligible members,
+/// the largest winning (ties: lowest node id).
+std::vector<int> reference_plurality(const sim::Simulator& sim,
+                                     const rt::MembershipService& svc,
+                                     const std::vector<NodeId>& members) {
+  const std::size_t n = members.size();
+  std::vector<char> taken(n, 0);
+  for (std::size_t m = 0; m < n; ++m) {
+    const rt::MemberState st = svc.state(static_cast<int>(m));
+    taken[m] = (st == rt::MemberState::kCrashed ||
+                st == rt::MemberState::kUnreachable || sim.node_failed(members[m]));
+  }
+  std::vector<int> best;
+  for (std::size_t m = 0; m < n; ++m) {
+    if (taken[m]) continue;
+    std::vector<int> comp = {static_cast<int>(m)};
+    taken[m] = 1;
+    for (std::size_t m2 = m + 1; m2 < n; ++m2) {
+      if (taken[m2] || !reference_round_trip(sim, members[m], members[m2])) continue;
+      comp.push_back(static_cast<int>(m2));
+      taken[m2] = 1;
+    }
+    const auto low = [&](const std::vector<int>& c) {
+      NodeId v = members[static_cast<std::size_t>(c[0])];
+      for (const int i : c) v = std::min(v, members[static_cast<std::size_t>(i)]);
+      return v;
+    };
+    if (best.empty() || comp.size() > best.size() ||
+        (comp.size() == best.size() && low(comp) < low(best)))
+      best = comp;
+  }
+  return best;
+}
+
+/// Every wired channel out of (and, with `both_ways`, into) `router`.
+std::vector<std::pair<int, int>> wired_channels(const sim::Topology& topo,
+                                                int router, bool both_ways) {
+  std::vector<std::pair<int, int>> out;
+  for (int r = 0; r < topo.num_routers(); ++r)
+    for (int q = 0; q < topo.radix(); ++q) {
+      const sim::PortRef dst = topo.link(r, q);
+      if (dst.valid() && (r == router || (both_ways && dst.router == router)))
+        out.emplace_back(r, q);
+    }
+  return out;
+}
+
+/// Drives one detector through link down/up, an asymmetric cut (a router
+/// that still receives but cannot answer), a partition and its heal, and a
+/// node kill.  At every sweep the cached reach answers must equal the
+/// reference search, and a sweep with no fault event since the previous
+/// one must rebuild no reach set.
+void expect_cache_matches_reference(const sim::Topology& topo,
+                                    const std::vector<NodeId>& members,
+                                    sim::FaultPlan plan, NodeId mute,
+                                    NodeId victim) {
+  auto down_up = [&](const std::vector<std::pair<int, int>>& chans, Time down,
+                     Time up) {
+    for (const auto& [r, q] : chans) {
+      plan.link_events.push_back({down, r, q, false});
+      plan.link_events.push_back({up, r, q, true});
+    }
+  };
+  // A lone link blip, then a muted router: every outgoing link down.
+  down_up({wired_channels(topo, topo.node_attach(members[0]).router, false)[0]},
+          150, 250);
+  down_up(wired_channels(topo, topo.node_attach(mute).router, false), 100, 300);
+  plan.node_events.push_back({900, victim});
+  sim::Simulator sim(topo);
+  sim.set_fault_plan(plan);
+  rt::MembershipService svc(sim, members,
+                            {.heartbeat_period = 50, .suspect_after = 2,
+                             .confirm_after = 3});
+  int last_version = -1;
+  long long last_rebuilds = 0;
+  bool saw_cut = false;
+  for (Time t = 50; t <= 1200; t += 50) {
+    sim.advance_idle_to(t);
+    const int version = sim.stats().fault_events;
+    for (const rt::MembershipEvent& ev : svc.sweep(members[0]))
+      if (ev.kind == MKind::kHealed) svc.readmit(ev.member);
+    for (const NodeId a : members)
+      for (const NodeId b : members) {
+        const bool want = reference_round_trip(sim, a, b);
+        saw_cut |= !want;
+        EXPECT_EQ(svc.round_trip_reachable(a, b), want)
+            << "cycle " << t << ": " << a << " -> " << b;
+      }
+    EXPECT_EQ(svc.plurality_members(), reference_plurality(sim, svc, members))
+        << "cycle " << t;
+    if (version == last_version) {
+      EXPECT_EQ(svc.reach_rebuilds(), last_rebuilds)
+          << "cycle " << t << ": no fault event, yet a reach set was rebuilt";
+    }
+    last_version = version;
+    last_rebuilds = svc.reach_rebuilds();
+  }
+  EXPECT_TRUE(saw_cut) << "the churn never cut a round trip";
+  EXPECT_TRUE(sim.node_failed(victim));
+  EXPECT_GT(svc.reach_rebuilds(), 0);
+}
+
+TEST(MembershipService, ReachCacheMatchesReferenceUnderChurnOnMesh) {
+  // The partition splits the members 3-3 and the observer (node 10) sits
+  // on the side that loses the lowest-node-id tie-break.
+  const auto topo = mesh::make_mesh2d(4);
+  const int n = topo->num_nodes();
+  expect_cache_matches_reference(
+      *topo, {10, 3, 12, 0, 5, 15},
+      sim::FaultPlan::partition(*topo, lower_half(n), upper_half(n), 500, 700),
+      /*mute=*/15, /*victim=*/12);
+}
+
+TEST(MembershipService, ReachCacheMatchesReferenceUnderChurnOnBmin) {
+  // Nodes 2k and 2k+1 share a switch, so they share one cached reach set;
+  // the "partition" isolates the switch of nodes 8 and 9 both ways.
+  const auto topo = bmin::make_bmin(16, bmin::UpPolicy::kSourceAddress);
+  sim::FaultPlan plan;
+  for (const auto& [r, q] : wired_channels(*topo, topo->node_attach(8).router, true)) {
+    plan.link_events.push_back({500, r, q, false});
+    plan.link_events.push_back({700, r, q, true});
+  }
+  expect_cache_matches_reference(*topo, {0, 1, 4, 8, 9, 13}, std::move(plan),
+                                 /*mute=*/4, /*victim=*/13);
 }
 
 // --- failover acceptance (ISSUE: 16x16 mesh, mid-stream source kill) ------

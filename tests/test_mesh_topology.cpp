@@ -40,6 +40,35 @@ TEST(MeshTopology, LinksLandOnFacingPort) {
   EXPECT_EQ(east.port, 0);  // arrives on the neighbour's x- input
 }
 
+TEST(MeshTopology, LinkMatchesCoordinateConstruction) {
+  // link() steps by the dimension stride; it must agree with rebuilding
+  // the neighbour from its coordinates on every (router, port), including
+  // mesh edges and (multi-port) ejection channels.
+  for (const auto& [dims, nports] :
+       {std::pair{std::vector<int>{5, 3}, 1}, std::pair{std::vector<int>{3, 4, 2}, 2}}) {
+    const MeshTopology topo(MeshShape(dims), RouteOrder::kHighestFirst, nports);
+    const MeshShape& s = topo.shape();
+    for (int r = 0; r < topo.num_routers(); ++r) {
+      for (int q = 0; q < topo.radix(); ++q) {
+        PortRef want;
+        if (q < topo.local_port()) {
+          std::vector<int> c = s.coords(r);
+          c[static_cast<std::size_t>(q / 2)] += (q % 2 == 1) ? 1 : -1;
+          if (c[static_cast<std::size_t>(q / 2)] >= 0 &&
+              c[static_cast<std::size_t>(q / 2)] < s.dim(q / 2))
+            want = PortRef{s.node_at(c), q ^ 1};
+        }
+        const PortRef got = topo.link(r, q);
+        EXPECT_EQ(got.valid(), want.valid()) << "router " << r << " port " << q;
+        if (want.valid()) {
+          EXPECT_EQ(got.router, want.router) << "router " << r << " port " << q;
+          EXPECT_EQ(got.port, want.port) << "router " << r << " port " << q;
+        }
+      }
+    }
+  }
+}
+
 TEST(MeshTopology, XyRoutesHighestDimensionFirst) {
   // XY routing in our convention: X is dimension 1 (the chain's most
   // significant digit) and is corrected first — this alignment between
