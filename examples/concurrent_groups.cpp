@@ -4,9 +4,9 @@
 #include <iostream>
 
 #include "analysis/sampling.hpp"
-#include "analysis/trace.hpp"
 #include "analysis/viz.hpp"
 #include "mesh/mesh_topology.hpp"
+#include "obs/recorder.hpp"
 #include "runtime/mcast_runtime.hpp"
 
 int main() {
@@ -36,7 +36,7 @@ int main() {
   }
 
   sim::Simulator sim(*topo);
-  analysis::ChannelTraceRecorder trace(*topo);
+  obs::FlightRecorder trace;
   sim.set_observer(&trace);
   const auto results = runtime.run_concurrent(sim, std::move(work));
 
@@ -48,7 +48,7 @@ int main() {
               << "), blocked " << r.channel_conflicts << " cycles\n";
   }
 
-  std::cout << "\n" << analysis::mesh_heatmap(*topo, trace, sim.now())
+  std::cout << "\n" << analysis::mesh_heatmap(*topo, trace.snapshot(), sim.now())
             << "\nReading: each group alone would be contention-free "
                "(Theorem 1), but groups interfere with each other — the "
                "blocked cycles above are entirely cross-group.\n";

@@ -41,18 +41,26 @@ std::string tree_dot(const MulticastTree& tree, const std::string& graph_name) {
   return os.str();
 }
 
-std::string mesh_heatmap(const mesh::MeshTopology& topo, const ChannelTraceRecorder& trace,
-                         Time makespan) {
+std::string mesh_heatmap(const mesh::MeshTopology& topo,
+                         std::span<const obs::TraceEvent> events, Time makespan) {
   const MeshShape& shape = topo.shape();
   if (shape.ndims() != 2)
     throw std::invalid_argument("mesh_heatmap: requires a 2-D mesh");
   if (makespan <= 0) throw std::invalid_argument("mesh_heatmap: makespan must be > 0");
 
-  // Per-router: the busiest outgoing channel's hold time.
+  // Per channel: summed hold spans; per router: its busiest output.
+  std::vector<Time> held(topo.num_channels(), 0);
+  for (const obs::TraceEvent& ev : events) {
+    if (ev.event_kind() != obs::EventKind::kRelease) continue;
+    if (ev.a < 0 || ev.a >= topo.num_routers() || ev.b < 0 || ev.b >= topo.radix())
+      throw std::invalid_argument("mesh_heatmap: a release names a channel "
+                                  "outside the mesh");
+    held[static_cast<std::size_t>(topo.channel_id(ev.a, ev.b))] += ev.d;
+  }
   std::vector<Time> busy(topo.num_routers(), 0);
-  for (const ChannelUse& u : trace.utilization()) {
-    const int router = u.channel / topo.radix();
-    busy[router] = std::max(busy[router], u.busy);
+  for (std::size_t c = 0; c < held.size(); ++c) {
+    const std::size_t router = c / static_cast<std::size_t>(topo.radix());
+    busy[router] = std::max(busy[router], held[c]);
   }
 
   std::ostringstream os;

@@ -254,33 +254,6 @@ std::vector<MembershipEvent> MembershipService::sweep(NodeId observer) {
                      mi});
     }
   }
-  if (recorder_ != nullptr) {
-    const Time now = sim_.now();
-    recorder_->record(obs::EventKind::kHeartbeat, now, observer,
-                      static_cast<std::int32_t>(out.size()));
-    for (const MembershipEvent& ev : out) {
-      obs::EventKind k = obs::EventKind::kSuspect;
-      switch (ev.kind) {
-        case MembershipEvent::Kind::kSuspect:
-          k = obs::EventKind::kSuspect;
-          break;
-        case MembershipEvent::Kind::kClear:
-          k = obs::EventKind::kClear;
-          break;
-        case MembershipEvent::Kind::kCrashed:
-          k = obs::EventKind::kConfirmCrashed;
-          break;
-        case MembershipEvent::Kind::kUnreachable:
-          k = obs::EventKind::kConfirmUnreachable;
-          break;
-        case MembershipEvent::Kind::kHealed:
-          k = obs::EventKind::kHealed;
-          break;
-      }
-      recorder_->record(k, now, ev.member,
-                        members_[static_cast<std::size_t>(ev.member)]);
-    }
-  }
   return out;
 }
 

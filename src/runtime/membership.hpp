@@ -35,7 +35,6 @@
 #include <vector>
 
 #include "core/types.hpp"
-#include "obs/recorder.hpp"
 #include "sim/simulator.hpp"
 
 namespace pcm::rt {
@@ -89,11 +88,6 @@ class MembershipService {
 
   /// The runtime accepted a healed member back: alive, ladder reset.
   void readmit(int member);
-
-  /// Flight recorder for detector activity: each sweep records a
-  /// kHeartbeat (observer node, #transitions) plus one event per verdict.
-  /// Not owned; nullptr (the default) records nothing.
-  void set_recorder(obs::FlightRecorder* rec) { recorder_ = rec; }
 
   [[nodiscard]] MemberState state(int member) const {
     return state_[static_cast<std::size_t>(member)];
@@ -158,7 +152,6 @@ class MembershipService {
   mutable std::vector<int> label_;           ///< plurality_label scratch
   mutable std::vector<int> queue_;           ///< search scratch
   mutable long long reach_rebuilds_ = 0;
-  obs::FlightRecorder* recorder_ = nullptr;
 };
 
 }  // namespace pcm::rt

@@ -18,6 +18,14 @@ std::string make_what(Invariant inv, const std::string& detail, Time cycle,
   return os.str();
 }
 
+/// A send-lifecycle event of a one-shot multicast (stream sends carry
+/// their slot in d, one-shot sends -1).
+bool is_one_shot_send(const obs::TraceEvent& ev) {
+  return (ev.event_kind() == obs::EventKind::kSendAttempt ||
+          ev.event_kind() == obs::EventKind::kSendAcked) &&
+         ev.d == -1;
+}
+
 }  // namespace
 
 const char* invariant_name(Invariant inv) {
@@ -249,7 +257,18 @@ void InvariantAuditor::finalize(const sim::Simulator& sim) const {
   }
 }
 
-void InvariantAuditor::audit_result(const rt::McastResult& res) {
+std::vector<obs::TraceEvent> InvariantAuditor::whole_log(
+    const obs::FlightRecorder& rec) {
+  if (rec.events_dropped() > 0)
+    throw std::length_error(
+        "audit: the trace ring wrapped and dropped its oldest " +
+        std::to_string(rec.events_dropped()) +
+        " events; a partial log is never replayed");
+  return rec.snapshot();
+}
+
+void InvariantAuditor::audit_result(const rt::McastResult& res,
+                                    std::span<const obs::TraceEvent> log) {
   if (res.expected_dests <= 0) return;  // not a run_reliable result
   const int k = static_cast<int>(res.recv_complete.size());
   if (res.expected_dests != k - 1)
@@ -280,55 +299,61 @@ void InvariantAuditor::audit_result(const rt::McastResult& res) {
     throw InvariantViolation(Invariant::kResultConsistency,
                              "dead_nodes not sorted/unique");
 
-  // Ack-epoch audit over the recorded trace.
+  // Ack-epoch audit over the one-shot send lifecycle (slot payload -1).
   int max_rec = -1;
-  for (const rt::AckEvent& ev : res.ack_trace) max_rec = std::max(max_rec, ev.rec);
+  for (const obs::TraceEvent& ev : log)
+    if (is_one_shot_send(ev)) max_rec = std::max(max_rec, ev.a);
   std::vector<int> last_attempt(static_cast<std::size_t>(max_rec + 1), -1);
   std::vector<char> acked(static_cast<std::size_t>(max_rec + 1), 0);
-  for (const rt::AckEvent& ev : res.ack_trace) {
-    if (ev.rec < 0)
-      throw InvariantViolation(Invariant::kAckEpoch, "negative record index", ev.t);
-    int& last = last_attempt[static_cast<std::size_t>(ev.rec)];
-    char& got = acked[static_cast<std::size_t>(ev.rec)];
-    if (ev.kind == rt::AckEvent::Kind::kIssue) {
-      if (ev.attempt != last + 1)
+  for (const obs::TraceEvent& ev : log) {
+    if (!is_one_shot_send(ev)) continue;
+    const int rec = ev.a;
+    const int attempt = ev.b;
+    if (rec < 0)
+      throw InvariantViolation(Invariant::kAckEpoch, "negative record index",
+                               ev.cycle);
+    int& last = last_attempt[static_cast<std::size_t>(rec)];
+    char& got = acked[static_cast<std::size_t>(rec)];
+    if (ev.event_kind() == obs::EventKind::kSendAttempt) {
+      if (attempt != last + 1)
         throw InvariantViolation(Invariant::kAckEpoch,
-                                 "record " + std::to_string(ev.rec) +
-                                     " issued attempt " + std::to_string(ev.attempt) +
+                                 "record " + std::to_string(rec) +
+                                     " issued attempt " + std::to_string(attempt) +
                                      " after attempt " + std::to_string(last) +
                                      " (epoch not monotonic)",
-                                 ev.t);
+                                 ev.cycle);
       if (got)
         throw InvariantViolation(Invariant::kAckEpoch,
-                                 "record " + std::to_string(ev.rec) +
+                                 "record " + std::to_string(rec) +
                                      " re-issued after its ack",
-                                 ev.t);
-      last = ev.attempt;
+                                 ev.cycle);
+      last = attempt;
     } else {
       if (last < 0)
         throw InvariantViolation(Invariant::kAckEpoch,
-                                 "ack for record " + std::to_string(ev.rec) +
+                                 "ack for record " + std::to_string(rec) +
                                      " with no issued attempt",
-                                 ev.t);
-      if (ev.attempt > last)
+                                 ev.cycle);
+      if (attempt > last)
         throw InvariantViolation(Invariant::kAckEpoch,
-                                 "ack for attempt " + std::to_string(ev.attempt) +
-                                     " of record " + std::to_string(ev.rec) +
+                                 "ack for attempt " + std::to_string(attempt) +
+                                     " of record " + std::to_string(rec) +
                                      " which only reached attempt " +
                                      std::to_string(last),
-                                 ev.t);
+                                 ev.cycle);
       if (got)
         throw InvariantViolation(Invariant::kAckEpoch,
-                                 "record " + std::to_string(ev.rec) +
+                                 "record " + std::to_string(rec) +
                                      " acked twice (dropped-ack double count)",
-                                 ev.t);
+                                 ev.cycle);
       got = 1;
     }
   }
 }
 
-void InvariantAuditor::audit_stream(const rt::StreamResult& res) {
-  using Kind = rt::StreamEvent::Kind;
+void InvariantAuditor::audit_stream(const rt::StreamResult& res,
+                                    std::span<const obs::TraceEvent> log) {
+  using obs::EventKind;
   const int k = static_cast<int>(res.delivered_prefix.size());
   const int slots = res.slots;
   if (slots < 1 || res.window_size < 1 || k < 2)
@@ -367,9 +392,9 @@ void InvariantAuditor::audit_stream(const rt::StreamResult& res) {
                                "delivered_prefix outside [0, slots] at pos " +
                                    std::to_string(p));
   }
-  if (res.trace.empty()) return;
+  if (log.empty()) return;
 
-  // --- full trace replay ---
+  // --- full log replay ---
   // Per position: delivered slot set, last first-delivery slot.
   std::vector<std::vector<char>> got(
       static_cast<std::size_t>(k),
@@ -395,237 +420,241 @@ void InvariantAuditor::audit_stream(const rt::StreamResult& res) {
       ++pre;
     return pre;
   };
-  // The trace is replayed in *protocol order* (the order the runtime's
+  // The log is replayed in *protocol order* (the order the runtime's
   // state machine processed the events).  Timestamps are software
   // completion times and may legally interleave: a retransmitted slot's
-  // delivery can carry an earlier `done` than an event traced before it
-  // (t_recv varies with the forwarded interval width).
-  for (const rt::StreamEvent& ev : res.trace) {
-    switch (ev.kind) {
-      case Kind::kInject:
-        if (ev.pos < 0 || ev.pos >= k)
+  // delivery can carry an earlier `done` than an event logged before it
+  // (t_recv varies with the forwarded interval width).  Payload fields
+  // follow the table in obs/trace_event.hpp; kinds the replay does not
+  // model (simulator events, send lifecycles, heartbeats, confirms,
+  // heals) pass through.
+  for (const obs::TraceEvent& ev : log) {
+    const Time t = ev.cycle;
+    switch (ev.event_kind()) {
+      case EventKind::kSlotInject: {
+        const int slot = ev.a, ep = ev.b, pos = ev.c;
+        if (pos < 0 || pos >= k)
           throw InvariantViolation(Invariant::kResultConsistency,
-                                   "injection from outside the group", ev.t);
-        if (producer < 0) producer = ev.pos;
-        if (ev.pos != producer)
+                                   "injection from outside the group", t);
+        if (slot < 0 || slot >= slots)
+          throw InvariantViolation(Invariant::kResultConsistency,
+                                   "injection of slot " + std::to_string(slot) +
+                                       " outside a " + std::to_string(slots) +
+                                       "-slot stream",
+                                   t);
+        if (producer < 0) producer = pos;
+        if (pos != producer)
           throw InvariantViolation(
               Invariant::kStreamEpoch,
-              "injection from pos " + std::to_string(ev.pos) +
+              "injection from pos " + std::to_string(pos) +
                   " but the acting source is pos " + std::to_string(producer) +
                   " (split brain / deposed source)",
-              ev.t);
-        if (ev.slot != injected)
+              t);
+        if (slot != injected)
           throw InvariantViolation(Invariant::kStreamOrder,
-                                   "slot " + std::to_string(ev.slot) +
+                                   "slot " + std::to_string(slot) +
                                        " injected out of order (expected " +
                                        std::to_string(injected) + ")",
-                                   ev.t);
-        if (ev.epoch != epoch)
+                                   t);
+        if (ep != epoch)
           throw InvariantViolation(Invariant::kStreamEpoch,
-                                   "injection under epoch " +
-                                       std::to_string(ev.epoch) +
+                                   "injection under epoch " + std::to_string(ep) +
                                        " while the group is at " +
                                        std::to_string(epoch),
-                                   ev.t);
+                                   t);
         ++injected;
         if (injected - frontier > res.window_size)
           throw InvariantViolation(
               Invariant::kStreamWindow,
               "occupancy " + std::to_string(injected - frontier) +
                   " exceeds window " + std::to_string(res.window_size) +
-                  " at slot " + std::to_string(ev.slot),
-              ev.t);
-        break;
-      case Kind::kDeliver: {
-        if (ev.epoch != epoch)
-          throw InvariantViolation(
-              Invariant::kStreamEpoch,
-              "delivery of slot " + std::to_string(ev.slot) + " under epoch " +
-                  std::to_string(ev.epoch) +
-                  " advanced state while the group is at " +
-                  std::to_string(epoch) + " (stale-epoch ack accepted)",
-              ev.t);
-        if (ev.pos < 0 || ev.pos >= k || ev.slot < 0 || ev.slot >= slots)
-          throw InvariantViolation(Invariant::kResultConsistency,
-                                   "delivery outside the group/stream", ev.t);
-        char& cell = got[static_cast<std::size_t>(ev.pos)]
-                        [static_cast<std::size_t>(ev.slot)];
-        if (cell)
-          throw InvariantViolation(Invariant::kStreamOrder,
-                                   "slot " + std::to_string(ev.slot) +
-                                       " first-delivered twice at pos " +
-                                       std::to_string(ev.pos),
-                                   ev.t);
-        cell = 1;
-        last_slot[static_cast<std::size_t>(ev.pos)] = ev.slot;
+                  " at slot " + std::to_string(slot),
+              t);
         break;
       }
-      case Kind::kStaleAck:
-        if (ev.epoch >= epoch)
+      case EventKind::kSlotDeliver: {
+        const int slot = ev.a, ep = ev.b, pos = ev.c;
+        if (ep != epoch)
+          throw InvariantViolation(
+              Invariant::kStreamEpoch,
+              "delivery of slot " + std::to_string(slot) + " under epoch " +
+                  std::to_string(ep) +
+                  " advanced state while the group is at " +
+                  std::to_string(epoch) + " (stale-epoch ack accepted)",
+              t);
+        if (pos < 0 || pos >= k || slot < 0 || slot >= slots)
+          throw InvariantViolation(Invariant::kResultConsistency,
+                                   "delivery outside the group/stream", t);
+        char& cell = got[static_cast<std::size_t>(pos)][static_cast<std::size_t>(slot)];
+        if (cell)
+          throw InvariantViolation(Invariant::kStreamOrder,
+                                   "slot " + std::to_string(slot) +
+                                       " first-delivered twice at pos " +
+                                       std::to_string(pos),
+                                   t);
+        cell = 1;
+        last_slot[static_cast<std::size_t>(pos)] = slot;
+        break;
+      }
+      case EventKind::kStaleAck:
+        if (ev.b >= epoch)
           throw InvariantViolation(Invariant::kStreamEpoch,
                                    "stale ack carries epoch " +
-                                       std::to_string(ev.epoch) +
+                                       std::to_string(ev.b) +
                                        " but the group is only at " +
                                        std::to_string(epoch),
-                                   ev.t);
+                                   t);
         ++stale_seen;
         break;
-      case Kind::kFrontier:
-        if (ev.slot != frontier)
+      case EventKind::kSlotCommit: {
+        const int slot = ev.a;
+        if (slot != frontier)
           throw InvariantViolation(Invariant::kStreamGap,
                                    "frontier advanced past slot " +
-                                       std::to_string(ev.slot) +
-                                       " but stands at " +
+                                       std::to_string(slot) + " but stands at " +
                                        std::to_string(frontier),
-                                   ev.t);
-        if (ev.slot >= injected)
+                                   t);
+        if (slot >= injected)
           throw InvariantViolation(Invariant::kStreamGap,
-                                   "slot committed before it was injected",
-                                   ev.t);
+                                   "slot committed before it was injected", t);
         // Commit means every *surviving* receiver holds the slot.
         for (int p = 0; p < k; ++p) {
           if (dead[static_cast<std::size_t>(p)]) continue;
           // The acting source is not a receiver (any committed slot was
           // injected first, so `producer` is pinned by now).
           if (p == producer) continue;
-          if (!got[static_cast<std::size_t>(p)][static_cast<std::size_t>(ev.slot)])
+          if (!got[static_cast<std::size_t>(p)][static_cast<std::size_t>(slot)])
             throw InvariantViolation(Invariant::kStreamGap,
-                                     "slot " + std::to_string(ev.slot) +
+                                     "slot " + std::to_string(slot) +
                                          " committed below surviving pos " +
                                          std::to_string(p) + "'s delivery",
-                                     ev.t);
+                                     t);
         }
         ++frontier;
         break;
-      case Kind::kEpoch:
-        if (ev.epoch != epoch + 1)
+      }
+      case EventKind::kEpochBump: {
+        const int ep = ev.a, pos = ev.b;
+        const bool partitioned = ev.c != 0;
+        if (ep != epoch + 1)
           throw InvariantViolation(Invariant::kStreamEpoch,
                                    "epoch stepped from " + std::to_string(epoch) +
-                                       " to " + std::to_string(ev.epoch),
-                                   ev.t);
-        if (ev.pos < 0 || ev.pos >= k || dead[static_cast<std::size_t>(ev.pos)])
+                                       " to " + std::to_string(ep),
+                                   t);
+        if (pos < 0 || pos >= k || dead[static_cast<std::size_t>(pos)])
           throw InvariantViolation(Invariant::kStreamEpoch,
-                                   "epoch bump names an invalid or already-dead "
-                                   "position",
-                                   ev.t);
-        dead[static_cast<std::size_t>(ev.pos)] = 1;
-        epoch = ev.epoch;
+                                   partitioned
+                                       ? "partition eviction names an invalid or "
+                                         "already-dead position"
+                                       : "epoch bump names an invalid or "
+                                         "already-dead position",
+                                   t);
+        dead[static_cast<std::size_t>(pos)] = 1;
+        if (partitioned) parted[static_cast<std::size_t>(pos)] = 1;
+        epoch = ep;
         ++epochs_seen;
         break;
-      case Kind::kPartition:
-        if (ev.epoch != epoch + 1)
+      }
+      case EventKind::kRejoin: {
+        const int ep = ev.a, pos = ev.b, prefix = ev.c;
+        if (ep != epoch + 1)
           throw InvariantViolation(Invariant::kStreamEpoch,
                                    "epoch stepped from " + std::to_string(epoch) +
-                                       " to " + std::to_string(ev.epoch),
-                                   ev.t);
-        if (ev.pos < 0 || ev.pos >= k || dead[static_cast<std::size_t>(ev.pos)])
-          throw InvariantViolation(Invariant::kStreamEpoch,
-                                   "partition eviction names an invalid or "
-                                   "already-dead position",
-                                   ev.t);
-        dead[static_cast<std::size_t>(ev.pos)] = 1;
-        parted[static_cast<std::size_t>(ev.pos)] = 1;
-        epoch = ev.epoch;
-        ++epochs_seen;
-        break;
-      case Kind::kRejoin: {
-        if (ev.epoch != epoch + 1)
-          throw InvariantViolation(Invariant::kStreamEpoch,
-                                   "epoch stepped from " + std::to_string(epoch) +
-                                       " to " + std::to_string(ev.epoch),
-                                   ev.t);
-        if (ev.pos < 0 || ev.pos >= k ||
-            !parted[static_cast<std::size_t>(ev.pos)])
+                                       " to " + std::to_string(ep),
+                                   t);
+        if (pos < 0 || pos >= k || !parted[static_cast<std::size_t>(pos)])
           throw InvariantViolation(
               Invariant::kStreamEpoch,
               "rejoin of a position never evicted as unreachable (crashed "
               "members must not rejoin)",
-              ev.t);
+              t);
         // Prefix continuity: the rejoiner resumes exactly where it stood.
-        const int pre = replayed_prefix(ev.pos);
-        if (ev.slot != pre)
+        const int pre = replayed_prefix(pos);
+        if (prefix != pre)
           throw InvariantViolation(
               Invariant::kStreamGap,
-              "rejoin of pos " + std::to_string(ev.pos) + " claims prefix " +
-                  std::to_string(ev.slot) + " but the trace shows " +
+              "rejoin of pos " + std::to_string(pos) + " claims prefix " +
+                  std::to_string(prefix) + " but the log shows " +
                   std::to_string(pre),
-              ev.t);
-        dead[static_cast<std::size_t>(ev.pos)] = 0;
-        parted[static_cast<std::size_t>(ev.pos)] = 0;
-        epoch = ev.epoch;
+              t);
+        dead[static_cast<std::size_t>(pos)] = 0;
+        parted[static_cast<std::size_t>(pos)] = 0;
+        epoch = ep;
         ++epochs_seen;
         ++rejoins_seen;
         break;
       }
-      case Kind::kFailover: {
-        if (ev.epoch != epoch + 1)
+      case EventKind::kFailover: {
+        const int ep = ev.a, pos = ev.b, prefix = ev.c;
+        if (ep != epoch + 1)
           throw InvariantViolation(Invariant::kStreamEpoch,
                                    "epoch stepped from " + std::to_string(epoch) +
-                                       " to " + std::to_string(ev.epoch),
-                                   ev.t);
-        if (ev.pos < 0 || ev.pos >= k || dead[static_cast<std::size_t>(ev.pos)])
+                                       " to " + std::to_string(ep),
+                                   t);
+        if (pos < 0 || pos >= k || dead[static_cast<std::size_t>(pos)])
           throw InvariantViolation(Invariant::kStreamEpoch,
                                    "failover elects an invalid or dead successor",
-                                   ev.t);
+                                   t);
         // Committed prefixes never regress across failover: the successor
         // must hold at least everything the group already committed.
-        if (ev.slot < frontier)
+        if (prefix < frontier)
           throw InvariantViolation(
               Invariant::kStreamGap,
-              "failover successor prefix " + std::to_string(ev.slot) +
+              "failover successor prefix " + std::to_string(prefix) +
                   " regresses the committed frontier " +
                   std::to_string(frontier),
-              ev.t);
-        const int pre = replayed_prefix(ev.pos);
-        if (ev.slot != pre)
+              t);
+        const int pre = replayed_prefix(pos);
+        if (prefix != pre)
           throw InvariantViolation(
               Invariant::kStreamGap,
-              "failover claims successor prefix " + std::to_string(ev.slot) +
-                  " but the trace shows " + std::to_string(pre),
-              ev.t);
+              "failover claims successor prefix " + std::to_string(prefix) +
+                  " but the log shows " + std::to_string(pre),
+              t);
         // The deposed source leaves the group; at most one active source
         // per epoch from here on.
         if (producer >= 0) dead[static_cast<std::size_t>(producer)] = 1;
-        producer = ev.pos;
-        epoch = ev.epoch;
+        producer = pos;
+        epoch = ep;
         ++epochs_seen;
         ++failovers_seen;
         break;
       }
-      case Kind::kSuspect:
-        if (ev.pos < 0 || ev.pos >= k || dead[static_cast<std::size_t>(ev.pos)])
+      case EventKind::kSuspect:
+        if (ev.a < 0 || ev.a >= k || dead[static_cast<std::size_t>(ev.a)])
           throw InvariantViolation(Invariant::kResultConsistency,
-                                   "suspicion of an invalid or dead position",
-                                   ev.t);
+                                   "suspicion of an invalid or dead position", t);
         ++suspects_seen;
         break;
-      case Kind::kClear:
-        if (ev.pos < 0 || ev.pos >= k || dead[static_cast<std::size_t>(ev.pos)])
+      case EventKind::kClear:
+        if (ev.a < 0 || ev.a >= k || dead[static_cast<std::size_t>(ev.a)])
           throw InvariantViolation(Invariant::kResultConsistency,
                                    "suspicion cleared on an invalid or dead "
                                    "position",
-                                   ev.t);
+                                   t);
+        break;
+      default:
         break;
     }
   }
   if (epoch != res.epoch || epochs_seen != res.epoch)
     throw InvariantViolation(Invariant::kStreamEpoch,
-                             "trace epoch count disagrees with the result");
+                             "log epoch count disagrees with the result");
   if (frontier != res.committed)
     throw InvariantViolation(Invariant::kResultConsistency,
-                             "trace frontier disagrees with committed");
+                             "log frontier disagrees with committed");
   if (stale_seen != res.stale_acks)
     throw InvariantViolation(Invariant::kResultConsistency,
-                             "trace stale-ack count disagrees with the result");
+                             "log stale-ack count disagrees with the result");
   if (failovers_seen != res.failovers)
     throw InvariantViolation(Invariant::kResultConsistency,
-                             "trace failover count disagrees with the result");
+                             "log failover count disagrees with the result");
   if (rejoins_seen != res.rejoins)
     throw InvariantViolation(Invariant::kResultConsistency,
-                             "trace rejoin count disagrees with the result");
+                             "log rejoin count disagrees with the result");
   if (suspects_seen != res.suspects)
     throw InvariantViolation(Invariant::kResultConsistency,
-                             "trace suspect count disagrees with the result");
+                             "log suspect count disagrees with the result");
   if (failovers_seen > 0 && producer >= 0 &&
       res.delivered_prefix[static_cast<std::size_t>(producer)] != slots)
     throw InvariantViolation(Invariant::kResultConsistency,
@@ -665,7 +694,7 @@ void InvariantAuditor::audit_stream(const rt::StreamResult& res) {
                                    std::to_string(res.delivered_prefix
                                                       [static_cast<std::size_t>(p)]) +
                                    " at pos " + std::to_string(p) +
-                                   " disagrees with the trace (" +
+                                   " disagrees with the log (" +
                                    std::to_string(pre) + ")");
   }
 }

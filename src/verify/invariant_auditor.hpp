@@ -28,7 +28,8 @@
 //     head-blocking is legal (chaos found exactly this: U-min + drops);
 //   * monotonic ack epochs   — run_reliable's per-record attempt
 //     counters only ever step forward, acks match an issued attempt, and
-//     no record's ack is counted twice (see audit_result);
+//     no record's ack is counted twice (audit_result replays the run's
+//     obs::TraceEvent log);
 //   * watchdog consistency   — a WatchdogReport's reservation table and
 //     stalled-message set must agree with the auditor's ledger.
 //
@@ -36,11 +37,13 @@
 // message, and channel, so a chaos driver can minimize and replay them.
 #pragma once
 
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/algorithms.hpp"
+#include "obs/recorder.hpp"
 #include "runtime/mcast_runtime.hpp"
 #include "runtime/stream_runtime.hpp"
 #include "sim/fault.hpp"
@@ -129,22 +132,33 @@ class InvariantAuditor final : public sim::SimObserver {
   /// freedom of every delivered message.  Callable after every run.
   void finalize(const sim::Simulator& sim) const;
 
+  /// The recorder's events, oldest first, for audit_result/audit_stream.
+  /// Throws std::length_error when the ring wrapped: the log lost its
+  /// head, and a replay of the rest could pass where the run failed.
+  [[nodiscard]] static std::vector<obs::TraceEvent> whole_log(
+      const obs::FlightRecorder& rec);
+
   /// Checks a run_reliable result for internal consistency: delivered
   /// counts vs recv_complete, delivered_fraction arithmetic, dead-node
-  /// accounting, and — when an ack trace was recorded — monotonic ack
-  /// epochs with no double-counted acks.
-  static void audit_result(const rt::McastResult& res);
+  /// accounting, and — over the run's log (FtConfig::recorder) — monotonic
+  /// ack epochs with no double-counted acks.  The ack audit reads the
+  /// kSendAttempt/kSendAcked events with slot payload d == -1.
+  static void audit_result(const rt::McastResult& res,
+                           std::span<const obs::TraceEvent> log = {});
 
   /// Checks a StreamResult for the streaming invariants (DESIGN.md §6.6):
   /// result-field arithmetic (committed/commit_time/occupancy bounds),
-  /// and — when a StreamEvent trace was recorded — a full replay
+  /// and — over the stream's log (StreamConfig::recorder) — a full replay
   /// asserting per-receiver in-order delivery (on reconfiguration-free
   /// streams), no delivery gaps below the cumulative-ack frontier for any
   /// surviving receiver, epoch monotonicity (an epoch only ever steps
   /// forward by one, state-advancing events carry the current epoch, and
-  /// stale acks carry an older one), and window occupancy never exceeding
-  /// window_size.
-  static void audit_stream(const rt::StreamResult& res);
+  /// stale acks carry an older one), window occupancy never exceeding
+  /// window_size, and log counts (epochs, stale acks, failovers, rejoins,
+  /// suspicions) that match the result.  An empty log runs only the
+  /// result-field checks.
+  static void audit_stream(const rt::StreamResult& res,
+                           std::span<const obs::TraceEvent> log = {});
 
   [[nodiscard]] int posted() const { return posted_; }
   [[nodiscard]] int delivered() const { return delivered_; }

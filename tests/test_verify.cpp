@@ -226,14 +226,32 @@ rt::McastResult healthy_two_node_result() {
   return res;
 }
 
+/// One one-shot send-lifecycle event (slot payload -1) to receiver pos 1.
+obs::TraceEvent send_event(obs::EventKind kind, Time t, int rec, int attempt) {
+  obs::TraceEvent ev;
+  ev.cycle = t;
+  ev.kind = static_cast<std::uint16_t>(kind);
+  ev.a = rec;
+  ev.b = attempt;
+  ev.c = 1;
+  ev.d = -1;
+  return ev;
+}
+
+obs::TraceEvent issue(Time t, int rec, int attempt) {
+  return send_event(obs::EventKind::kSendAttempt, t, rec, attempt);
+}
+
+obs::TraceEvent ack(Time t, int rec, int attempt) {
+  return send_event(obs::EventKind::kSendAcked, t, rec, attempt);
+}
+
 TEST(Verify, DroppedAckDoubleCountCaught) {
-  rt::McastResult res = healthy_two_node_result();
-  using K = rt::AckEvent::Kind;
-  res.ack_trace = {{K::kIssue, 0, 0, 0, 1},
-                   {K::kAck, 90, 0, 0, 1},
-                   {K::kAck, 95, 0, 0, 1}};  // the dropped-ack double count
+  const rt::McastResult res = healthy_two_node_result();
+  const std::vector<obs::TraceEvent> log = {
+      issue(0, 0, 0), ack(90, 0, 0), ack(95, 0, 0)};  // the dropped-ack double count
   try {
-    InvariantAuditor::audit_result(res);
+    InvariantAuditor::audit_result(res, log);
     FAIL() << "expected InvariantViolation";
   } catch (const InvariantViolation& v) {
     EXPECT_EQ(v.invariant(), Invariant::kAckEpoch);
@@ -242,26 +260,25 @@ TEST(Verify, DroppedAckDoubleCountCaught) {
 }
 
 TEST(Verify, AckEpochRegressionsCaught) {
-  using K = rt::AckEvent::Kind;
+  const rt::McastResult res = healthy_two_node_result();
+  std::vector<obs::TraceEvent> log;
+  const auto audit = [&] { InvariantAuditor::audit_result(res, log); };
   // Re-issuing the same attempt: the epoch did not advance.
-  rt::McastResult res = healthy_two_node_result();
-  res.ack_trace = {{K::kIssue, 0, 0, 0, 1}, {K::kIssue, 50, 0, 0, 1}};
-  EXPECT_EQ(catch_invariant([&] { InvariantAuditor::audit_result(res); }),
-            Invariant::kAckEpoch);
+  log = {issue(0, 0, 0), issue(50, 0, 0)};
+  EXPECT_EQ(catch_invariant(audit), Invariant::kAckEpoch);
   // An ack with no issued attempt.
-  res.ack_trace = {{K::kAck, 10, 0, 0, 1}};
-  EXPECT_EQ(catch_invariant([&] { InvariantAuditor::audit_result(res); }),
-            Invariant::kAckEpoch);
+  log = {ack(10, 0, 0)};
+  EXPECT_EQ(catch_invariant(audit), Invariant::kAckEpoch);
   // An ack for an attempt beyond the last issued one.
-  res.ack_trace = {{K::kIssue, 0, 0, 0, 1}, {K::kAck, 10, 0, 3, 1}};
-  EXPECT_EQ(catch_invariant([&] { InvariantAuditor::audit_result(res); }),
-            Invariant::kAckEpoch);
+  log = {issue(0, 0, 0), ack(10, 0, 3)};
+  EXPECT_EQ(catch_invariant(audit), Invariant::kAckEpoch);
   // A re-issue after the ack arrived.
-  res.ack_trace = {{K::kIssue, 0, 0, 0, 1},
-                   {K::kAck, 10, 0, 0, 1},
-                   {K::kIssue, 20, 0, 1, 1}};
-  EXPECT_EQ(catch_invariant([&] { InvariantAuditor::audit_result(res); }),
-            Invariant::kAckEpoch);
+  log = {issue(0, 0, 0), ack(10, 0, 0), issue(20, 0, 1)};
+  EXPECT_EQ(catch_invariant(audit), Invariant::kAckEpoch);
+  // Stream sends (slot payload >= 0) are not one-shot records.
+  log = {issue(0, 0, 0), ack(10, 0, 0)};
+  log[1].d = 3;
+  EXPECT_NO_THROW(audit());
 }
 
 TEST(Verify, ResultConsistencyCaught) {
@@ -287,11 +304,13 @@ TEST(Verify, RealReliableRunTracePassesAudit) {
   sim::FaultPlan plan;
   plan.node_events.push_back({300, p.dests[5]});
   sim.set_fault_plan(plan);
+  obs::FlightRecorder rec;
   rt::FtConfig ft;
-  ft.record_ack_trace = true;
+  ft.recorder = &rec;
   const rt::McastResult res = rtm.run_reliable(sim, tree, 4096, ft);
-  EXPECT_FALSE(res.ack_trace.empty());
-  InvariantAuditor::audit_result(res);  // must not throw
+  const std::vector<obs::TraceEvent> log = InvariantAuditor::whole_log(rec);
+  EXPECT_FALSE(log.empty());
+  InvariantAuditor::audit_result(res, log);  // must not throw
 }
 
 // --- chaos sweep ----------------------------------------------------------
