@@ -40,6 +40,11 @@ struct RecorderConfig {
 /// Per-run capacity harness fan-outs use (one ring per in-flight run).
 inline constexpr std::size_t kRunRingCapacity = std::size_t{1} << 16;
 
+/// Capacity of a log that never wraps: it grows with the run, like a
+/// plain vector.  The --audit protocol log uses it when no --trace or
+/// --metrics ring is there to share, so any stream length replays whole.
+inline constexpr std::size_t kUnboundedCapacity = static_cast<std::size_t>(-1);
+
 class FlightRecorder final : public sim::SimObserver {
  public:
   explicit FlightRecorder(RecorderConfig cfg = {});
