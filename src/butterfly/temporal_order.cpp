@@ -4,28 +4,33 @@
 
 #include "analysis/rng.hpp"
 #include "core/opt_tree.hpp"
+#include "lint/lint.hpp"
 
 namespace pcm::butterfly {
 
 int temporal_conflict_score(const Chain& chain, const SplitTable& table,
-                            const sim::Topology& topo, TwoParam tp, Time per_hop) {
+                            const sim::Topology& topo, const rt::RuntimeConfig& cfg,
+                            const sim::SimConfig& sim_cfg, Bytes payload) {
   const MulticastTree tree = build_chain_split_tree(chain, table);
-  const auto report =
-      analysis::model_conflicts(tree, topo, tp,
-                                analysis::ChannelHold{tp.t_hold, per_hop});
-  return static_cast<int>(report.pairs.size());
+  return lint::lint_tree(tree, topo, cfg, sim_cfg, payload,
+                         lint::LintOptions{.max_diagnostics = 0, .keep_schedule = false})
+      .pairs;
 }
 
 TemporalOrderResult temporal_order(NodeId source, std::span<const NodeId> dests,
-                                   const sim::Topology& topo, TwoParam tp,
+                                   const sim::Topology& topo,
+                                   const rt::RuntimeConfig& cfg,
+                                   const sim::SimConfig& sim_cfg, Bytes payload,
                                    TemporalOrderOptions opts) {
   TemporalOrderResult res;
   res.chain = make_chain(source, dests, ChainOrder::kLexicographic);
   const int k = res.chain.size();
+  const TwoParam tp =
+      cfg.machine.two_param(rt::MulticastRuntime(cfg).wire_bytes(payload, 1));
   const SplitTable table = opt_split_table(tp.t_hold, tp.t_end, k);
 
   auto score_of = [&](const Chain& c) {
-    return temporal_conflict_score(c, table, topo, tp, opts.per_hop);
+    return temporal_conflict_score(c, table, topo, cfg, sim_cfg, payload);
   };
 
   int best = score_of(res.chain);

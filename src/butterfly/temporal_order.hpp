@@ -6,25 +6,26 @@
 //
 // We realize that idea as a seeded local search over chain permutations:
 // starting from the lexicographic chain, score a candidate chain by the
-// number of send pairs whose ideal-model channel-hold windows overlap on
-// a shared channel (analysis::model_conflicts), and greedily accept
-// swap/relocate moves that lower the score.  The result is not provably
-// contention-free — Sec. 6 explains none exists on a butterfly — but the
-// score (and the measured blocked cycles) drop substantially.
+// number of send pairs whose exact channel-hold windows overlap on a
+// shared channel (lint::lint_tree, which agrees with the flit simulator),
+// and greedily accept swap/relocate moves that lower the score.  The
+// result is not provably contention-free — Sec. 6 explains none exists
+// on a butterfly — but the score (and the measured blocked cycles) drop.
 #pragma once
 
 #include <cstdint>
 #include <span>
 
-#include "analysis/contention.hpp"
 #include "core/multicast_tree.hpp"
+#include "runtime/mcast_runtime.hpp"
+#include "sim/simulator.hpp"
 
 namespace pcm::butterfly {
 
 struct TemporalOrderResult {
   Chain chain;               ///< the tuned ordering
-  int initial_conflicts = 0; ///< model conflicts of the lexicographic chain
-  int final_conflicts = 0;   ///< model conflicts of the tuned chain
+  int initial_conflicts = 0; ///< overlapping send pairs, lexicographic chain
+  int final_conflicts = 0;   ///< overlapping send pairs, tuned chain
   int moves_tried = 0;
   int moves_accepted = 0;
 };
@@ -32,18 +33,23 @@ struct TemporalOrderResult {
 struct TemporalOrderOptions {
   int budget = 400;           ///< candidate moves to evaluate
   std::uint64_t seed = 1;     ///< RNG seed for move proposals
-  Time per_hop = 1;           ///< ChannelHold::per_hop for scoring
 };
 
-/// Scores one chain: model conflicts of the chain-split tree under `table`.
+/// Scores one chain: lint_tree's count of overlapping send pairs of the
+/// chain-split tree under `table`, carrying `payload` bytes.
 int temporal_conflict_score(const Chain& chain, const SplitTable& table,
-                            const sim::Topology& topo, TwoParam tp, Time per_hop = 1);
+                            const sim::Topology& topo, const rt::RuntimeConfig& cfg,
+                            const sim::SimConfig& sim_cfg, Bytes payload);
 
 /// Tunes the node ordering for `source` -> `dests` on `topo` (typically a
-/// ButterflyTopology, but any Topology works) for a machine with
-/// parameters `tp`.  Returns the best chain found within the budget.
+/// ButterflyTopology, but any Topology works) for a `payload`-byte
+/// multicast on the machine `cfg` / `sim_cfg`, split by the OPT table of
+/// the machine's (t_hold, t_end).  Returns the best chain found within
+/// the budget.
 TemporalOrderResult temporal_order(NodeId source, std::span<const NodeId> dests,
-                                   const sim::Topology& topo, TwoParam tp,
+                                   const sim::Topology& topo,
+                                   const rt::RuntimeConfig& cfg,
+                                   const sim::SimConfig& sim_cfg, Bytes payload,
                                    TemporalOrderOptions opts = {});
 
 }  // namespace pcm::butterfly

@@ -55,6 +55,16 @@ long long parse_uint_flag(std::string_view flag, std::string_view value,
   return out;
 }
 
+/// Largest --bytes payload: far above any experiment's (64 KB at most),
+/// and small enough that a run cannot overflow or stall on its flits.
+constexpr long long kMaxBytes = 1 << 24;
+
+/// Largest network --topology may build: a mesh side and a BMIN or
+/// butterfly node count far above any experiment's (mesh:16, bmin:128),
+/// and small enough that building the network cannot exhaust memory.
+constexpr long long kMaxMeshSide = 256;
+constexpr long long kMaxPorts = 1 << 14;
+
 std::pair<std::string, std::vector<std::string>> split_spec(const std::string& spec) {
   std::vector<std::string> parts;
   std::string cur;
@@ -64,6 +74,19 @@ std::pair<std::string, std::vector<std::string>> split_spec(const std::string& s
   const std::string kind = parts.front();
   parts.erase(parts.begin());
   return {kind, parts};
+}
+
+/// Rejects a topology spec whose size exceeds kMaxMeshSide / kMaxPorts.
+void check_topology_size(const std::string& spec) {
+  const auto [kind, params] = split_spec(spec);
+  if (params.empty() || (kind != "mesh" && kind != "bmin" && kind != "butterfly"))
+    return;
+  const long long max = kind == "mesh" ? kMaxMeshSide : kMaxPorts;
+  const long long n = parse_int("topology parameter", params[0]);
+  if (n > max)
+    throw std::invalid_argument("pcmcast: --topology " + kind +
+                                (kind == "mesh" ? " side" : " size") + " must be <= " +
+                                std::to_string(max) + ", got " + std::to_string(n));
 }
 
 }  // namespace
@@ -99,7 +122,7 @@ CliOptions parse_args(std::span<const std::string_view> args) {
     } else if (a == "--nodes") {
       opt.nodes = static_cast<int>(parse_int(a, value()));
     } else if (a == "--bytes") {
-      opt.bytes = parse_int(a, value());
+      opt.bytes = parse_uint_flag(a, value(), 0, kMaxBytes);
     } else if (a == "--reps") {
       opt.reps = static_cast<int>(parse_int(a, value()));
     } else if (a == "--seed") {
@@ -172,7 +195,7 @@ CliOptions parse_args(std::span<const std::string_view> args) {
       throw std::invalid_argument("pcmcast: unknown algorithm '" + opt.algorithm + "'");
     if (opt.nodes < 2) throw std::invalid_argument("pcmcast: --nodes must be >= 2");
     if (opt.reps < 1) throw std::invalid_argument("pcmcast: --reps must be >= 1");
-    if (opt.bytes < 0) throw std::invalid_argument("pcmcast: --bytes must be >= 0");
+    check_topology_size(opt.topology);
     if (opt.collective != "multicast" && opt.collective != "reduce" &&
         opt.collective != "barrier")
       throw std::invalid_argument("pcmcast: --collective must be multicast, reduce, "
@@ -263,6 +286,7 @@ CliOptions parse_args(std::span<const std::string_view> args) {
 }
 
 std::unique_ptr<sim::Topology> make_topology(const std::string& spec) {
+  check_topology_size(spec);
   const auto [kind, params] = split_spec(spec);
   auto param_at = [&, &params = params](size_t i, long long fallback) -> long long {
     if (i < params.size()) return parse_int("topology parameter", params[i]);
@@ -1090,9 +1114,7 @@ int run_lint_forest_cli(const CliOptions& opt, std::ostream& os) {
     }
   }
 
-  const lint::ForestOptions fopts;
-  const lint::ForestReport rep =
-      lint::lint_forest(members, *topo, cfg, sim_cfg, fopts);
+  const lint::ForestReport rep = lint::lint_forest(members, *topo, cfg, sim_cfg);
 
   os << "pcmlint: forest of " << members.size() << " tree(s) on "
      << opt.topology << ", " << opt.bytes << " B"
@@ -1275,8 +1297,7 @@ int run_lint_cli(const CliOptions& opt, std::ostream& os) {
       clean += rep.clean() ? 1 : 0;
       contended += rep.contention_free ? 0 : 1;
       deadlocked += rep.deadlock_free ? 0 : 1;
-      for (const lint::LintDiagnostic& d : rep.diagnostics)
-        pairs += d.kind == lint::DiagKind::kContention ? 1 : 0;
+      pairs += rep.pairs;
       max_makespan = std::max(max_makespan, rep.makespan);
       rows.add_row({std::string(algorithm_name(alg)), std::to_string(i),
                     rep.clean() ? "yes" : "no",

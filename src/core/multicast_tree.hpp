@@ -50,21 +50,6 @@ MulticastTree build_chain_split_tree(const Chain& chain, const SplitTable& table
 /// times; the source's entry is its last-operation-issue time.
 std::vector<Time> model_finish_times(const MulticastTree& tree, TwoParam tp);
 
-/// The ideal-model timeline of one send: when its send operation starts
-/// and when its receiver finishes receiving (issue + t_end).
-struct SendTimes {
-  Time issue = 0;
-  Time deliver = 0;
-};
-
-/// Per-send view of the same traversal as model_finish_times: every node
-/// activates when it finishes receiving, then issues its sends spaced
-/// t_hold apart, each delivered t_end after issue.  Indexed like
-/// MulticastTree::sends.  This is the symbolic send schedule the static
-/// analyzers (analysis::model_conflicts, lint::lint_schedule) interval-
-/// check without running the flit simulator.
-std::vector<SendTimes> model_send_times(const MulticastTree& tree, TwoParam tp);
-
 /// max over destinations of model_finish_times (the model multicast
 /// latency).  Equals SplitTable::latency(k) when the tree was built from
 /// an optimal table.

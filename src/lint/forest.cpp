@@ -17,43 +17,15 @@
 #include <stdexcept>
 #include <utility>
 
-#include "lint/lint.hpp"
+#include "lint/detail.hpp"
 
 namespace pcm::lint {
-namespace {
-
-/// One hold window tagged with its (tree, send) for the forest sweep.
-struct ForestHold {
-  sim::ChannelId ch = -1;
-  Time begin = 0;
-  Time end = 0;
-  int tree = -1;
-  int send = -1;
-};
-
-/// Simulator delivery order: cycle first, then the router/port sweep
-/// (ejection channel id), then (tree, send) — the last two never tie for
-/// distinct messages but keep the queue strict-weak-ordered.
-struct Delivery {
-  Time delivered = 0;
-  sim::ChannelId eject = -1;
-  int tree = -1;
-  int send = -1;
-  bool operator>(const Delivery& o) const {
-    if (delivered != o.delivered) return delivered > o.delivered;
-    if (eject != o.eject) return eject > o.eject;
-    if (tree != o.tree) return tree > o.tree;
-    return send > o.send;
-  }
-};
-
-}  // namespace
 
 ForestReport lint_forest(std::span<const ForestMember> members,
                          const sim::Topology& topo, const rt::RuntimeConfig& cfg,
-                         const sim::SimConfig& sim_cfg,
-                         const ForestOptions& opts) {
-  validate_lint_config(sim_cfg, "lint_forest");
+                         const sim::SimConfig& sim_cfg) {
+  detail::validate_lint_config(sim_cfg, "lint_forest");
+  const LintOptions opts;
   ForestReport rep;
   rep.trees = static_cast<int>(members.size());
   rep.tree_makespan.assign(members.size(), 0);
@@ -62,26 +34,21 @@ ForestReport lint_forest(std::span<const ForestMember> members,
     if (members[t].start < 0)
       throw std::invalid_argument("lint_forest: negative start offset");
     rep.sends += static_cast<int>(members[t].tree.sends.size());
-    const std::string structure = check_tree(members[t].tree);
-    if (!structure.empty()) {
+    if (!detail::structure_ok(members[t].tree, static_cast<int>(t), rep.diagnostics))
       rep.structure_ok = false;
-      ForestDiagnostic d;
-      d.kind = DiagKind::kStructure;
-      d.tree_a = static_cast<int>(t);
-      d.detail = structure;
-      rep.diagnostics.push_back(std::move(d));
-    }
   }
-  if (!rep.structure_ok) return rep;  // timing malformed trees is meaningless
+  if (!rep.structure_ok) return rep;
 
-  const MachineParams& mp = cfg.machine;
-  const rt::MulticastRuntime runtime(cfg);
   const Time rd = sim_cfg.router_delay;
   const int ni_ports = topo.ports_per_node();
 
+  std::vector<std::vector<detail::SendPlan>> plans;
   std::vector<std::vector<SendWindow>> sched(members.size());
-  for (size_t t = 0; t < members.size(); ++t)
+  for (size_t t = 0; t < members.size(); ++t) {
+    plans.push_back(detail::plan_sends(members[t].tree, topo, cfg, members[t].payload));
     sched[t].resize(members[t].tree.sends.size());
+  }
+  const detail::SendIds ids(sched);
 
   // Shared state, one entry per *node* (not per tree): run_concurrent's
   // single CPU timeline plus the simulator's NI injection engines.
@@ -90,7 +57,9 @@ ForestReport lint_forest(std::span<const ForestMember> members,
       static_cast<size_t>(topo.num_nodes()),
       std::vector<Time>(static_cast<size_t>(ni_ports), 0));
 
-  std::priority_queue<Delivery, std::vector<Delivery>, std::greater<>> pending;
+  std::priority_queue<detail::Delivery, std::vector<detail::Delivery>,
+                      std::greater<>>
+      pending;
 
   // Posts every send of `pos`; the caller has already advanced
   // next_free[node] to the activation time (run_concurrent's activate).
@@ -98,34 +67,11 @@ ForestReport lint_forest(std::span<const ForestMember> members,
     const ForestMember& m = members[static_cast<size_t>(t)];
     const NodeId node = m.tree.node(pos);
     for (int idx : m.tree.out[static_cast<size_t>(pos)]) {
-      const SendEvent& ev = m.tree.sends[static_cast<size_t>(idx)];
-      const int interval = ev.sub_hi - ev.sub_lo + 1;
-      const Bytes wire = runtime.wire_bytes(m.payload, interval);
-      const int n = runtime.wire_flits(m.payload, interval);
-
+      detail::SendPlan& p = plans[static_cast<size_t>(t)][static_cast<size_t>(idx)];
       SendWindow& w = sched[static_cast<size_t>(t)][static_cast<size_t>(idx)];
-      w.send = idx;
-      w.src = node;
-      w.dst = m.tree.node(ev.receiver_pos);
-      w.flits = n;
-      w.op_start = next_free[node];
-      w.ready = w.op_start + mp.t_send(wire);
-      next_free[node] += mp.t_hold(wire);
-
-      auto& ports = ni_free[node];
-      size_t p = 0;
-      for (size_t q = 1; q < ports.size(); ++q)
-        if (ports[q] < ports[p]) p = q;
-      w.inject_start = std::max(w.ready, ports[p]);
-      ports[p] = w.inject_start + n;
-
-      topo.append_path(w.src, w.dst, w.path);
-      w.reserve.resize(w.path.size());
-      for (size_t i = 0; i < w.path.size(); ++i)
-        w.reserve[i] = w.inject_start + static_cast<Time>(i + 1) * rd;
-      w.delivered =
-          w.inject_start + static_cast<Time>(w.path.size()) * rd + n - 1;
-      pending.push(Delivery{w.delivered, w.path.back(), t, idx});
+      detail::post_window(w, idx, p, next_free[node], ni_free[node], rd);
+      next_free[node] += p.t_hold;
+      pending.push(detail::Delivery{w.delivered, w.path.back(), ids.id(t, idx)});
     }
   };
 
@@ -139,176 +85,61 @@ ForestReport lint_forest(std::span<const ForestMember> members,
     issue(static_cast<int>(t), src_pos);
   }
   while (!pending.empty()) {
-    const Delivery d = pending.top();
+    const detail::Delivery d = pending.top();
     pending.pop();
-    const ForestMember& m = members[static_cast<size_t>(d.tree)];
-    const SendEvent& ev = m.tree.sends[static_cast<size_t>(d.send)];
-    const NodeId node = m.tree.node(ev.receiver_pos);
-    const int interval = ev.sub_hi - ev.sub_lo + 1;
+    const int t = ids.tree(d.send), idx = ids.send(d.send);
+    const detail::SendPlan& p = plans[static_cast<size_t>(t)][static_cast<size_t>(idx)];
+    const NodeId node = p.dst;
     // Receive processing occupies the shared CPU.
     const Time begin = std::max(d.delivered, next_free[node]);
-    const Time done = begin + mp.t_recv(runtime.wire_bytes(m.payload, interval));
+    const Time done = begin + p.t_recv;
     next_free[node] = done;
-    sched[static_cast<size_t>(d.tree)][static_cast<size_t>(d.send)].recv_done =
-        done;
-    rep.tree_makespan[static_cast<size_t>(d.tree)] =
-        std::max(rep.tree_makespan[static_cast<size_t>(d.tree)], done);
-    issue(d.tree, ev.receiver_pos);
+    sched[static_cast<size_t>(t)][static_cast<size_t>(idx)].recv_done = done;
+    rep.tree_makespan[static_cast<size_t>(t)] =
+        std::max(rep.tree_makespan[static_cast<size_t>(t)], done);
+    issue(t, p.receiver_pos);
   }
   for (Time t : rep.tree_makespan) rep.makespan = std::max(rep.makespan, t);
 
-  // Flatten every hold window and sweep per channel, as lint_tree does,
-  // but classify overlapping pairs as intra- vs cross-tree.
-  std::vector<ForestHold> holds;
-  for (size_t t = 0; t < sched.size(); ++t)
-    for (const SendWindow& w : sched[t])
-      for (size_t i = 0; i < w.path.size(); ++i)
-        holds.push_back(ForestHold{w.path[i], w.reserve[i],
-                                   w.reserve[i] + w.flits,
-                                   static_cast<int>(t), w.send});
-  std::sort(holds.begin(), holds.end(),
-            [](const ForestHold& a, const ForestHold& b) {
-              if (a.ch != b.ch) return a.ch < b.ch;
-              if (a.begin != b.begin) return a.begin < b.begin;
-              if (a.tree != b.tree) return a.tree < b.tree;
-              return a.send < b.send;
-            });
+  // lint_tree's scan, over every member's holds: overlapping pairs are
+  // classified as intra- vs cross-tree.
+  detail::Overlaps ov = detail::scan_holds(sched, opts.max_diagnostics);
+  rep.diagnostics = std::move(ov.listed);
+  rep.contention_free = ov.contention_free;
+  rep.channels_used = ov.channels_used;
+  rep.max_channel_windows = ov.max_channel_windows;
+  rep.intra_pairs = ov.intra_pairs;
+  rep.cross_pairs = ov.cross_pairs;
+  rep.deadlock_free = detail::deadlock_free(sched, topo.num_channels(),
+                                            opts.max_diagnostics, rep.diagnostics);
 
-  std::vector<ForestDiagnostic> contention;
-  constexpr size_t kRawPairCap = 4096;  // verdict stays exact; listing capped
-  for (size_t lo = 0; lo < holds.size();) {
-    size_t hi = lo;
-    while (hi < holds.size() && holds[hi].ch == holds[lo].ch) ++hi;
-    rep.channels_used++;
-    rep.max_channel_windows =
-        std::max(rep.max_channel_windows, static_cast<int>(hi - lo));
-    for (size_t j = lo; j < hi; ++j) {
-      for (size_t k = j + 1; k < hi && holds[k].begin < holds[j].end; ++k) {
-        rep.contention_free = false;
-        if (contention.size() >= kRawPairCap) continue;
-        ForestDiagnostic d;
-        d.kind = DiagKind::kContention;
-        d.tree_a = holds[j].tree;  // reserves first (ties: lower indices)
-        d.send_a = holds[j].send;
-        d.tree_b = holds[k].tree;
-        d.send_b = holds[k].send;
-        d.channel = holds[j].ch;
-        d.overlap_begin = holds[k].begin;
-        d.overlap_end = std::min(holds[j].end, holds[k].end);
-        contention.push_back(std::move(d));
-      }
-    }
-    lo = hi;
-  }
-
-  // One diagnostic per (tree, send) pair, keeping the earliest overlap,
-  // then chronological order — the first listed overlap is the first
-  // cycle run_concurrent charges a blocked head.
-  std::sort(contention.begin(), contention.end(),
-            [](const ForestDiagnostic& a, const ForestDiagnostic& b) {
-              if (a.tree_a != b.tree_a) return a.tree_a < b.tree_a;
-              if (a.send_a != b.send_a) return a.send_a < b.send_a;
-              if (a.tree_b != b.tree_b) return a.tree_b < b.tree_b;
-              if (a.send_b != b.send_b) return a.send_b < b.send_b;
-              if (a.overlap_begin != b.overlap_begin)
-                return a.overlap_begin < b.overlap_begin;
-              return a.channel < b.channel;
-            });
-  contention.erase(
-      std::unique(contention.begin(), contention.end(),
-                  [](const ForestDiagnostic& a, const ForestDiagnostic& b) {
-                    return a.tree_a == b.tree_a && a.send_a == b.send_a &&
-                           a.tree_b == b.tree_b && a.send_b == b.send_b;
-                  }),
-      contention.end());
-  for (const ForestDiagnostic& d : contention) {
-    if (d.tree_a == d.tree_b)
-      rep.intra_pairs++;
-    else
-      rep.cross_pairs++;
-  }
-  std::sort(contention.begin(), contention.end(),
-            [](const ForestDiagnostic& a, const ForestDiagnostic& b) {
-              if (a.overlap_begin != b.overlap_begin)
-                return a.overlap_begin < b.overlap_begin;
-              if (a.tree_a != b.tree_a) return a.tree_a < b.tree_a;
-              if (a.send_a != b.send_a) return a.send_a < b.send_a;
-              if (a.tree_b != b.tree_b) return a.tree_b < b.tree_b;
-              return a.send_b < b.send_b;
-            });
-  if (contention.size() > static_cast<size_t>(opts.max_diagnostics))
-    contention.resize(static_cast<size_t>(opts.max_diagnostics));
-  for (ForestDiagnostic& d : contention) rep.diagnostics.push_back(std::move(d));
-
-  if (opts.check_deadlock) {
-    std::vector<SendWindow> all;
-    all.reserve(static_cast<size_t>(rep.sends));
-    for (const std::vector<SendWindow>& s : sched)
-      all.insert(all.end(), s.begin(), s.end());
-    std::vector<sim::ChannelId> cycle =
-        channel_dependency_cycle(all, topo.num_channels());
-    if (!cycle.empty()) {
-      rep.deadlock_free = false;
-      if (rep.diagnostics.size() < static_cast<size_t>(opts.max_diagnostics)) {
-        ForestDiagnostic d;
-        d.kind = DiagKind::kDeadlock;
-        d.cycle = std::move(cycle);
-        rep.diagnostics.push_back(std::move(d));
-      }
-    }
-  }
-
-  if (opts.keep_schedules) rep.schedules = std::move(sched);
+  rep.schedules = std::move(sched);
   return rep;
 }
 
 std::string ForestReport::describe(std::span<const ForestMember> members,
                                    const sim::Topology& topo) const {
-  std::ostringstream os;
   if (clean()) {
+    std::ostringstream os;
     os << "clean: " << trees << " tree(s), " << sends << " send(s), "
        << channels_used << " channel(s), makespan " << makespan;
     return os.str();
   }
-  os << diagnostics.size() << " diagnostic(s)";
-  for (const ForestDiagnostic& d : diagnostics) {
-    os << "\n  ";
-    switch (d.kind) {
-      case DiagKind::kStructure:
-        os << "structure: tree#" << d.tree_a << ": " << d.detail;
-        break;
-      case DiagKind::kContention: {
-        const MulticastTree& ta = members[static_cast<size_t>(d.tree_a)].tree;
-        const MulticastTree& tb = members[static_cast<size_t>(d.tree_b)].tree;
-        const SendEvent& a = ta.sends[static_cast<size_t>(d.send_a)];
-        const SendEvent& b = tb.sends[static_cast<size_t>(d.send_b)];
-        os << (d.tree_a == d.tree_b ? "intra" : "cross")
-           << "-tree contention: tree#" << d.tree_a << " send#" << d.send_a
-           << " " << ta.node(a.sender_pos) << "->" << ta.node(a.receiver_pos)
-           << " vs tree#" << d.tree_b << " send#" << d.send_b << " "
-           << tb.node(b.sender_pos) << "->" << tb.node(b.receiver_pos)
-           << " on "
-           << topo.channel_name(d.channel / topo.radix(),
-                                d.channel % topo.radix())
-           << " during [" << d.overlap_begin << ", " << d.overlap_end << ")";
-        break;
-      }
-      case DiagKind::kDeadlock: {
-        os << "deadlock: cyclic channel wait:";
-        for (sim::ChannelId c : d.cycle)
-          os << " " << topo.channel_name(c / topo.radix(), c % topo.radix());
-        break;
-      }
-    }
-  }
-  return os.str();
+  return detail::render_diagnostics(
+      diagnostics, topo, true, [members](int tree, int send) {
+        const MulticastTree& t = members[static_cast<size_t>(tree)].tree;
+        const SendEvent& ev = t.sends[static_cast<size_t>(send)];
+        std::ostringstream os;
+        os << "tree#" << tree << " send#" << send << " " << t.node(ev.sender_pos)
+           << "->" << t.node(ev.receiver_pos);
+        return os.str();
+      });
 }
 
 void ChannelReservations::add(std::span<const SendWindow> sched) {
   for (const SendWindow& w : sched)
     for (size_t i = 0; i < w.path.size(); ++i)
-      holds.push_back(
-          HoldWindow{w.path[i], w.reserve[i], w.reserve[i] + w.flits});
+      holds.push_back(Hold{w.path[i], w.send, w.reserve[i], w.reserve[i] + w.flits});
 }
 
 Time earliest_clean_offset(const MulticastTree& tree, const sim::Topology& topo,
@@ -323,8 +154,8 @@ Time earliest_clean_offset(const MulticastTree& tree, const sim::Topology& topo,
   const std::vector<SendWindow> cand =
       lint_schedule(tree, topo, cfg, sim_cfg, payload, 0);
 
-  std::vector<HoldWindow> res = existing.holds;
-  std::sort(res.begin(), res.end(), [](const HoldWindow& a, const HoldWindow& b) {
+  std::vector<Hold> res = existing.holds;
+  std::sort(res.begin(), res.end(), [](const Hold& a, const Hold& b) {
     if (a.channel != b.channel) return a.channel < b.channel;
     return a.begin < b.begin;
   });
@@ -336,7 +167,7 @@ Time earliest_clean_offset(const MulticastTree& tree, const sim::Topology& topo,
       const Time he = hb + w.flits;
       auto it = std::lower_bound(
           res.begin(), res.end(), w.path[i],
-          [](const HoldWindow& r, sim::ChannelId ch) { return r.channel < ch; });
+          [](const Hold& r, sim::ChannelId ch) { return r.channel < ch; });
       for (; it != res.end() && it->channel == w.path[i]; ++it) {
         const Time lo = it->begin - he + 1;
         const Time hi = it->end - hb - 1;

@@ -74,15 +74,21 @@ enum class DiagKind {
   kDeadlock,    ///< the channel-dependency graph has a cycle
 };
 
-/// One structured finding.  For kContention, `send_a` issues strictly
-/// first (earlier reserve on the shared channel; ties broken by index)
-/// and [overlap_begin, overlap_end) is the half-open intersection of the
-/// two hold windows — its start is the first cycle the simulator charges
-/// a blocked head.  For kDeadlock, `cycle` lists the channel-wait loop.
-/// For kStructure, `detail` carries the check_tree diagnostic.
+/// One structured finding.  A send is named by (tree, send): `tree` is
+/// the forest member (0 for a single tree and for a stream) and `send`
+/// indexes MulticastTree::sends (for a stream, the tag
+/// slot * sends_per_slot + send index).  For kContention, (tree_a,
+/// send_a) issues strictly first (earlier reserve on the shared channel;
+/// ties broken by tree, then send index) and [overlap_begin, overlap_end)
+/// is the half-open intersection of the two hold windows — its start is
+/// the first cycle the simulator charges a blocked head.  For kDeadlock,
+/// `cycle` lists the channel-wait loop.  For kStructure, `detail` carries
+/// the check_tree diagnostic of tree `tree_a`.
 struct LintDiagnostic {
   DiagKind kind = DiagKind::kContention;
+  int tree_a = 0;
   int send_a = -1;
+  int tree_b = 0;
   int send_b = -1;
   sim::ChannelId channel = -1;
   Time overlap_begin = 0;
@@ -92,10 +98,10 @@ struct LintDiagnostic {
 };
 
 struct LintOptions {
-  /// Stop collecting after this many diagnostics (the verdict booleans
-  /// still reflect the full analysis).
+  /// List at most this many diagnostics.  The verdict booleans and the
+  /// pair counts always reflect the full analysis, and the listing is the
+  /// earliest overlaps, one per send pair.
   int max_diagnostics = 64;
-  bool check_deadlock = true;
   /// Keep the per-send schedule in the report (tests and benches want it;
   /// sweeps screening thousands of trees may drop it to save memory).
   bool keep_schedule = true;
@@ -110,6 +116,7 @@ struct LintReport {
   int sends = 0;
   int channels_used = 0;       ///< distinct channels any message traverses
   int max_channel_windows = 0; ///< most hold windows on one channel
+  int pairs = 0;               ///< distinct send pairs whose holds overlap
   Time makespan = 0;           ///< last receiver software completion
 
   /// No diagnostics of any kind: the schedule is certified.
@@ -138,23 +145,10 @@ std::vector<SendWindow> lint_schedule(const MulticastTree& tree,
                                       Bytes payload, Time t0 = 0);
 
 /// Full static analysis: structure check, schedule derivation, pairwise
-/// channel-overlap scan, and (optionally) the channel-dependency-graph
-/// deadlock check.
+/// channel-overlap scan, and the channel-dependency-graph deadlock check.
 LintReport lint_tree(const MulticastTree& tree, const sim::Topology& topo,
                      const rt::RuntimeConfig& cfg, const sim::SimConfig& sim_cfg,
                      Bytes payload, const LintOptions& opts = {});
-
-/// Shared precondition check of the symbolic timing model (router_delay
-/// >= 1, fifo_capacity >= router_delay + 1); throws std::invalid_argument
-/// naming `who` otherwise.  Every lint entry point calls this.
-void validate_lint_config(const sim::SimConfig& sim_cfg, const char* who);
-
-/// Finds one cycle in the channel-dependency graph of the schedules'
-/// paths (edge c -> c' when some message traverses c' immediately after
-/// c), or returns empty when acyclic.  Exposed so forest/stream analyses
-/// reuse the same deterministic DFS as lint_tree.
-std::vector<sim::ChannelId> channel_dependency_cycle(
-    std::span<const SendWindow> sched, int num_channels);
 
 // ---------------------------------------------------------------------------
 // Forest analysis: N concurrent trees on one shared channel timeline.
@@ -166,32 +160,9 @@ struct ForestMember {
   Time start = 0;  ///< activation offset relative to the forest origin
 };
 
-/// A forest finding.  Like LintDiagnostic but each send is qualified by
-/// its tree; for kContention, (tree_a, send_a) reserves the shared
-/// channel first (ties broken by tree then send index).
-struct ForestDiagnostic {
-  DiagKind kind = DiagKind::kContention;
-  int tree_a = -1;
-  int send_a = -1;
-  int tree_b = -1;
-  int send_b = -1;
-  sim::ChannelId channel = -1;
-  Time overlap_begin = 0;
-  Time overlap_end = 0;
-  std::vector<sim::ChannelId> cycle;
-  std::string detail;
-};
-
-struct ForestOptions {
-  int max_diagnostics = 64;
-  bool check_deadlock = true;
-  bool keep_schedules = true;
-};
-
 struct ForestReport {
-  std::vector<ForestDiagnostic> diagnostics;
-  /// Per-member exact timelines (absolute times); empty unless
-  /// keep_schedules.
+  std::vector<LintDiagnostic> diagnostics;
+  /// Per-member exact timelines (absolute times).
   std::vector<std::vector<SendWindow>> schedules;
   bool structure_ok = true;
   bool contention_free = true;
@@ -224,23 +195,28 @@ struct ForestReport {
 /// channel id) — so the derivation is exact whenever the dynamic run is
 /// contention-free, and the earliest static overlap is the first dynamic
 /// block (tests enforce verdict equivalence on randomized forests).
-/// Then overlap-scans the combined channel holds and (optionally) checks
-/// the union channel-dependency graph for cycles.
+/// Then overlap-scans the combined channel holds (lint_tree's scan; a
+/// tree is a one-member forest) and checks the union channel-dependency
+/// graph for cycles.
 ForestReport lint_forest(std::span<const ForestMember> members,
                          const sim::Topology& topo, const rt::RuntimeConfig& cfg,
-                         const sim::SimConfig& sim_cfg,
-                         const ForestOptions& opts = {});
+                         const sim::SimConfig& sim_cfg);
+
+/// One channel hold window: `send` holds `channel` over the half-open
+/// interval [begin, end).  `send` indexes MulticastTree::sends; an
+/// analysis over several trees or slots numbers its sends forest-wide
+/// (lint_forest) or by streaming tag (lint_stream).
+struct Hold {
+  sim::ChannelId channel = -1;
+  int send = -1;
+  Time begin = 0;
+  Time end = 0;
+};
 
 /// Channel reservations of an already-admitted set of schedules, the
 /// input to earliest_clean_offset.
-struct HoldWindow {
-  sim::ChannelId channel = -1;
-  Time begin = 0;
-  Time end = 0;  ///< half-open
-};
-
 struct ChannelReservations {
-  std::vector<HoldWindow> holds;
+  std::vector<Hold> holds;
   /// Flattens every hold window of `sched` (absolute times) into the set.
   void add(std::span<const SendWindow> sched);
 };
@@ -260,11 +236,6 @@ Time earliest_clean_offset(const MulticastTree& tree, const sim::Topology& topo,
 
 // ---------------------------------------------------------------------------
 // Stream analysis: periodic extension of the per-send windows.
-
-struct StreamLintOptions {
-  int max_diagnostics = 64;
-  bool check_deadlock = true;
-};
 
 struct StreamLintReport {
   /// Contention findings; send_a/send_b carry the streaming tag
@@ -319,7 +290,6 @@ struct StreamLintReport {
 StreamLintReport lint_stream(const MulticastTree& tree, const sim::Topology& topo,
                              const rt::RuntimeConfig& cfg,
                              const sim::SimConfig& sim_cfg, Bytes payload,
-                             int slots, int window,
-                             const StreamLintOptions& opts = {});
+                             int slots, int window);
 
 }  // namespace pcm::lint

@@ -6,49 +6,28 @@
 //   * software: a node activates when its receive completes; each of its
 //     send engines issues operations t_hold(wire) apart, round-robin, and
 //     a message reaches the NI t_send(wire) after its operation starts;
-//   * NI: released messages drain FIFO over the node's injection engines,
-//     one flit per cycle, so a message starts injecting at
-//     max(ready, engine free) and frees the engine flits cycles later;
-//   * network: the head rests router_delay cycles in every router, so it
-//     reserves path channel i at inject_start + (i+1) * router_delay; body
-//     flits pipeline one per cycle behind it (fifo_capacity >=
-//     router_delay + 1 keeps the pipeline bubble-free), so the channel is
-//     held for exactly `flits` cycles and the tail is consumed at
-//     inject_start + hops * router_delay + flits - 1.
+//   * NI and network: detail::post_send — FIFO injection over the NI
+//     engines, router_delay cycles per hop for the head, and a
+//     bubble-free body pipeline (fifo_capacity >= router_delay + 1), so
+//     every channel is held for exactly `flits` cycles.
 //
 // Fidelity tests (test_lint.cpp) assert these fields equal the simulator's
 // Message records and the observer-recorded reserve/release events.
 #include <algorithm>
 #include <functional>
-#include <stdexcept>
-#include <string>
 
-#include "lint/lint.hpp"
+#include "lint/detail.hpp"
 
 namespace pcm::lint {
-
-void validate_lint_config(const sim::SimConfig& sim_cfg, const char* who) {
-  if (sim_cfg.router_delay < 1)
-    throw std::invalid_argument(
-        std::string(who) +
-        ": router_delay must be >= 1 (at 0 the simulator's sub-cycle sweep "
-        "order decides channel hand-offs)");
-  if (sim_cfg.fifo_capacity < sim_cfg.router_delay + 1)
-    throw std::invalid_argument(
-        std::string(who) +
-        ": fifo_capacity must be >= router_delay + 1 for a bubble-free "
-        "wormhole pipeline");
-}
 
 std::vector<SendWindow> lint_schedule(const MulticastTree& tree,
                                       const sim::Topology& topo,
                                       const rt::RuntimeConfig& cfg,
                                       const sim::SimConfig& sim_cfg,
                                       Bytes payload, Time t0) {
-  validate_lint_config(sim_cfg, "lint_schedule");
+  detail::validate_lint_config(sim_cfg, "lint_schedule");
 
-  const MachineParams& mp = cfg.machine;
-  const rt::MulticastRuntime runtime(cfg);
+  std::vector<detail::SendPlan> plan = detail::plan_sends(tree, topo, cfg, payload);
   const int engines = std::max(1, cfg.send_engines);
   const int ni_ports = topo.ports_per_node();
   const Time rd = sim_cfg.router_delay;
@@ -63,39 +42,15 @@ std::vector<SendWindow> lint_schedule(const MulticastTree& tree,
     std::vector<Time> ni_free(static_cast<size_t>(ni_ports), 0);
     int e = 0;
     for (int idx : tree.out[pos]) {
-      const SendEvent& ev = tree.sends[idx];
-      const int interval = ev.sub_hi - ev.sub_lo + 1;
-      const Bytes wire = runtime.wire_bytes(payload, interval);
-      const int n = runtime.wire_flits(payload, interval);
-
-      SendWindow& w = windows[idx];
-      w.send = idx;
-      w.src = tree.node(ev.sender_pos);
-      w.dst = tree.node(ev.receiver_pos);
-      w.flits = n;
-      w.op_start = next_op[static_cast<size_t>(e)];
-      w.ready = w.op_start + mp.t_send(wire);
-      next_op[static_cast<size_t>(e)] += mp.t_hold(wire);
+      detail::SendPlan& p = plan[static_cast<size_t>(idx)];
+      SendWindow& w = windows[static_cast<size_t>(idx)];
+      // FIFO NI assignment: all earlier sends of this node were posted
+      // already (their ready times do not decrease).
+      detail::post_window(w, idx, p, next_op[static_cast<size_t>(e)], ni_free, rd);
+      next_op[static_cast<size_t>(e)] += p.t_hold;
       e = (e + 1) % engines;
-
-      // FIFO NI assignment: all earlier sends of this node were assigned
-      // already (their ready times do not decrease), so this one takes
-      // the earliest-free injection engine once it is ready.
-      size_t p = 0;
-      for (size_t q = 1; q < ni_free.size(); ++q)
-        if (ni_free[q] < ni_free[p]) p = q;
-      w.inject_start = std::max(w.ready, ni_free[p]);
-      ni_free[p] = w.inject_start + n;
-
-      topo.append_path(w.src, w.dst, w.path);
-      w.reserve.resize(w.path.size());
-      for (size_t i = 0; i < w.path.size(); ++i)
-        w.reserve[i] = w.inject_start + static_cast<Time>(i + 1) * rd;
-      w.delivered =
-          w.inject_start + static_cast<Time>(w.path.size()) * rd + n - 1;
-      w.recv_done = w.delivered + mp.t_recv(wire);
-
-      activate(ev.receiver_pos, w.recv_done);
+      w.recv_done = w.delivered + p.t_recv;
+      activate(p.receiver_pos, w.recv_done);
     }
   };
   activate(tree.chain.source_pos, t0);

@@ -32,53 +32,19 @@
 #include <unordered_map>
 #include <utility>
 
-#include "lint/lint.hpp"
+#include "lint/detail.hpp"
 
 namespace pcm::lint {
 namespace {
 
-/// Per-send constants of the (slot-invariant) tree schedule.
-struct SendPlan {
-  int receiver_pos = -1;
-  int flits = 0;
-  Time t_send = 0;
-  Time t_hold = 0;
-  Time t_recv = 0;
-  std::vector<sim::ChannelId> path;
-};
-
-/// Simulator delivery order: cycle, then the router/port sweep (ejection
-/// channel id); the tag never ties but keeps the ordering strict.
-struct Delivery {
-  Time delivered = 0;
-  sim::ChannelId eject = -1;
-  int tag = -1;  ///< slot * sends_per_slot + send index
-  bool operator>(const Delivery& o) const {
-    if (delivered != o.delivered) return delivered > o.delivered;
-    if (eject != o.eject) return eject > o.eject;
-    return tag > o.tag;
-  }
-};
-
-/// In-flight hold windows of one channel, sorted by begin.  Eviction is
-/// garbage collection only: a stale window (end <= now) can never overlap
-/// a new one (begin > now), so lazy head advancement is safe.
+/// In-flight hold windows of one channel (send = the streaming tag),
+/// sorted by begin.  Eviction is garbage collection only: a stale window
+/// (end <= now) can never overlap a new one (begin > now), so lazy head
+/// advancement is safe.  The buffer is online because a stream's slots
+/// are unbounded: only the windows that can still overlap are kept.
 struct ChannelBuffer {
-  struct Hold {
-    Time begin = 0;
-    Time end = 0;
-    int tag = -1;
-  };
   std::vector<Hold> holds;
   size_t head = 0;
-};
-
-struct RawDiag {
-  int tag_a = -1;  ///< earlier begin
-  int tag_b = -1;
-  sim::ChannelId ch = -1;
-  Time overlap_begin = 0;
-  Time overlap_end = 0;
 };
 
 std::uint64_t fnv1a(const std::vector<long long>& v) {
@@ -99,13 +65,13 @@ StreamLintReport lint_stream(const MulticastTree& tree,
                              const sim::Topology& topo,
                              const rt::RuntimeConfig& cfg,
                              const sim::SimConfig& sim_cfg, Bytes payload,
-                             int slots, int window,
-                             const StreamLintOptions& opts) {
-  validate_lint_config(sim_cfg, "lint_stream");
+                             int slots, int window) {
+  detail::validate_lint_config(sim_cfg, "lint_stream");
   if (slots < 1) throw std::invalid_argument("lint_stream: slots must be >= 1");
   if (window < 1)
     throw std::invalid_argument("lint_stream: window must be >= 1");
 
+  const LintOptions opts;
   StreamLintReport rep;
   rep.slots = slots;
   rep.window = window;
@@ -113,18 +79,9 @@ StreamLintReport lint_stream(const MulticastTree& tree,
   rep.messages =
       static_cast<long long>(slots) * static_cast<long long>(rep.sends_per_slot);
 
-  const std::string structure = check_tree(tree);
-  if (!structure.empty()) {
-    rep.structure_ok = false;
-    LintDiagnostic d;
-    d.kind = DiagKind::kStructure;
-    d.detail = structure;
-    rep.diagnostics.push_back(std::move(d));
-    return rep;
-  }
+  rep.structure_ok = detail::structure_ok(tree, 0, rep.diagnostics);
+  if (!rep.structure_ok) return rep;
 
-  const MachineParams& mp = cfg.machine;
-  const rt::MulticastRuntime runtime(cfg);
   const int k = tree.num_nodes();
   const int src = tree.chain.source_pos;
   const int engines = std::max(1, cfg.send_engines);
@@ -133,20 +90,8 @@ StreamLintReport lint_stream(const MulticastTree& tree,
   const Time rd = sim_cfg.router_delay;
 
   // Slot-invariant per-send constants, incl. the routed path.
-  std::vector<SendPlan> plan(static_cast<size_t>(n_sends));
-  for (int idx = 0; idx < n_sends; ++idx) {
-    const SendEvent& ev = tree.sends[static_cast<size_t>(idx)];
-    const int interval = ev.sub_hi - ev.sub_lo + 1;
-    const Bytes wire = runtime.wire_bytes(payload, interval);
-    SendPlan& p = plan[static_cast<size_t>(idx)];
-    p.receiver_pos = ev.receiver_pos;
-    p.flits = runtime.wire_flits(payload, interval);
-    p.t_send = mp.t_send(wire);
-    p.t_hold = mp.t_hold(wire);
-    p.t_recv = mp.t_recv(wire);
-    topo.append_path(tree.node(ev.sender_pos), tree.node(ev.receiver_pos),
-                     p.path);
-  }
+  const std::vector<detail::SendPlan> plan =
+      detail::plan_sends(tree, topo, cfg, payload);
 
   // Analytic per-slot bounds: busiest (node, engine) software time (the
   // round-robin t_hold sum — the throughput DP objective) and busiest
@@ -166,7 +111,7 @@ StreamLintReport lint_stream(const MulticastTree& tree,
   }
   {
     std::vector<Time> occupancy(static_cast<size_t>(topo.num_channels()), 0);
-    for (const SendPlan& p : plan)
+    for (const detail::SendPlan& p : plan)
       for (sim::ChannelId ch : p.path) {
         occupancy[static_cast<size_t>(ch)] += p.flits;
         rep.channel_bound =
@@ -189,13 +134,22 @@ StreamLintReport lint_stream(const MulticastTree& tree,
   int frontier = 0;
   rep.commit_time.assign(static_cast<size_t>(slots), -1);
 
-  // Min-heap kept as a plain vector so snapshots can walk it.
-  std::vector<Delivery> heap;
+  // Min-heap kept as a plain vector so snapshots can walk it.  A
+  // delivery's send carries the streaming tag slot * n_sends + send.
+  std::vector<detail::Delivery> heap;
   const auto heap_cmp = std::greater<>{};
 
   std::vector<ChannelBuffer> buffers(static_cast<size_t>(topo.num_channels()));
-  std::vector<RawDiag> raw;
-  constexpr size_t kRawPairCap = 4096;  // verdict stays exact; listing capped
+  // Contention findings are de-duplicated by (send pattern, slot
+  // distance) — a steady-state overlap repeats every period and would
+  // drown the listing — keeping the earliest instance of each.  A send
+  // is named by its streaming tag.
+  detail::OverlapLog log;
+  auto pattern = [n_sends](int tag_a, int tag_b) {
+    const long long dist = tag_b / n_sends - tag_a / n_sends;
+    return static_cast<std::uint64_t>((dist * n_sends + tag_a % n_sends) * n_sends +
+                                      tag_b % n_sends);
+  };
   Time now = 0;            // current event time (eviction + clamp floor)
   Time max_lookahead = 0;  // max hold end minus its creation event time
 
@@ -212,46 +166,41 @@ StreamLintReport lint_stream(const MulticastTree& tree,
          ++j) {
       if (buf.holds[j].end <= b) continue;
       rep.contention_free = false;
-      if (raw.size() >= kRawPairCap) continue;
-      const ChannelBuffer::Hold& h = buf.holds[j];
+      const Hold& h = buf.holds[j];
       const bool old_first = h.begin <= b;
-      raw.push_back(RawDiag{old_first ? h.tag : tag, old_first ? tag : h.tag,
-                            ch, std::max(b, h.begin), std::min(e, h.end)});
+      const int tag_a = old_first ? h.send : tag;
+      const int tag_b = old_first ? tag : h.send;
+      log.add(pattern(tag_a, tag_b), detail::Overlap{0, tag_a, 0, tag_b, ch,
+                                                     std::max(b, h.begin),
+                                                     std::min(e, h.end)});
     }
     const auto it = std::upper_bound(
         buf.holds.begin() + static_cast<long>(buf.head), buf.holds.end(), b,
-        [](Time t, const ChannelBuffer::Hold& h) { return t < h.begin; });
-    buf.holds.insert(it, ChannelBuffer::Hold{b, e, tag});
+        [](Time t, const Hold& h) { return t < h.begin; });
+    buf.holds.insert(it, Hold{ch, tag, b, e});
     max_lookahead = std::max(max_lookahead, e - now);
   };
 
   // Identical to stream_fast's activate, plus the NI assignment, path
   // expansion and delivery scheduling the simulator performs.
+  std::vector<Time> reserve;
   auto activate = [&](int slot, int pos, Time at) {
     auto& ops = next_op[static_cast<size_t>(pos)];
     for (Time& t : ops) t = std::max(t, at);
     int e = 0;
     for (int idx : tree.out[static_cast<size_t>(pos)]) {
-      const SendPlan& p = plan[static_cast<size_t>(idx)];
+      const detail::SendPlan& p = plan[static_cast<size_t>(idx)];
       const Time ready = ops[static_cast<size_t>(e)] + p.t_send;
       ops[static_cast<size_t>(e)] += p.t_hold;
       e = (e + 1) % engines;
 
-      auto& ports = ni_free[static_cast<size_t>(pos)];
-      size_t port = 0;
-      for (size_t q = 1; q < ports.size(); ++q)
-        if (ports[q] < ports[port]) port = q;
-      const Time inject_start = std::max(ready, ports[port]);
-      ports[port] = inject_start + p.flits;
-
+      const detail::Posting post =
+          detail::post_send(ready, ni_free[static_cast<size_t>(pos)],
+                            p.path.size(), p.flits, rd, reserve);
       const int tag = slot * n_sends + idx;
-      for (size_t i = 0; i < p.path.size(); ++i) {
-        const Time b = inject_start + static_cast<Time>(i + 1) * rd;
-        add_hold(p.path[i], b, b + p.flits, tag);
-      }
-      heap.push_back(Delivery{
-          inject_start + static_cast<Time>(p.path.size()) * rd + p.flits - 1,
-          p.path.back(), tag});
+      for (size_t i = 0; i < p.path.size(); ++i)
+        add_hold(p.path[i], reserve[i], reserve[i] + p.flits, tag);
+      heap.push_back(detail::Delivery{post.delivered, p.path.back(), tag});
       std::push_heap(heap.begin(), heap.end(), heap_cmp);
     }
   };
@@ -296,18 +245,16 @@ StreamLintReport lint_stream(const MulticastTree& tree,
       st.push_back(r.remaining);
       st.push_back(r.max_done - c);
     }
-    std::vector<Delivery> pend = heap;
+    std::vector<detail::Delivery> pend = heap;
     std::sort(pend.begin(), pend.end(),
-              [](const Delivery& a, const Delivery& b) {
-                if (a.delivered != b.delivered) return a.delivered < b.delivered;
-                if (a.eject != b.eject) return a.eject < b.eject;
-                return a.tag < b.tag;
+              [](const detail::Delivery& a, const detail::Delivery& b) {
+                return b > a;
               });
-    for (const Delivery& d : pend) {
+    for (const detail::Delivery& d : pend) {
       st.push_back(d.delivered - c);
       st.push_back(d.eject);
-      st.push_back(d.tag / n_sends - s);
-      st.push_back(d.tag % n_sends);
+      st.push_back(d.send / n_sends - s);
+      st.push_back(d.send % n_sends);
     }
     const std::uint64_t h = fnv1a(st);
     for (size_t i : by_hash[h]) {
@@ -334,11 +281,11 @@ StreamLintReport lint_stream(const MulticastTree& tree,
   inject(0);
   while (!heap.empty()) {
     std::pop_heap(heap.begin(), heap.end(), heap_cmp);
-    const Delivery d = heap.back();
+    const detail::Delivery d = heap.back();
     heap.pop_back();
     now = d.delivered;
-    const int slot = d.tag / n_sends;
-    const SendPlan& p = plan[static_cast<size_t>(d.tag % n_sends)];
+    const int slot = d.send / n_sends;
+    const detail::SendPlan& p = plan[static_cast<size_t>(d.send % n_sends)];
     const Time done = d.delivered + p.t_recv;
     activate(slot, p.receiver_pos, done);
     Ring& rg = ring[static_cast<size_t>(slot % window)];
@@ -382,109 +329,36 @@ StreamLintReport lint_stream(const MulticastTree& tree,
   if (rep.makespan > 0)
     rep.slots_per_kcycle = 1000.0 * slots / static_cast<double>(rep.makespan);
 
-  // De-duplicate contention findings by (send pattern, slot distance): a
-  // steady-state overlap repeats every period and would drown the
-  // listing.  Keep the earliest instance of each pattern, listed
-  // chronologically.
-  auto pattern = [n_sends](const RawDiag& r) {
-    const long long sa = r.tag_a % n_sends;
-    const long long sb = r.tag_b % n_sends;
-    const long long dist = r.tag_b / n_sends - r.tag_a / n_sends;
-    return (dist * n_sends + sa) * n_sends + sb;
-  };
-  std::sort(raw.begin(), raw.end(), [&](const RawDiag& a, const RawDiag& b) {
-    const long long pa = pattern(a), pb = pattern(b);
-    if (pa != pb) return pa < pb;
-    if (a.overlap_begin != b.overlap_begin)
-      return a.overlap_begin < b.overlap_begin;
-    return a.ch < b.ch;
-  });
-  raw.erase(std::unique(raw.begin(), raw.end(),
-                        [&](const RawDiag& a, const RawDiag& b) {
-                          return pattern(a) == pattern(b);
-                        }),
-            raw.end());
-  std::sort(raw.begin(), raw.end(), [](const RawDiag& a, const RawDiag& b) {
-    if (a.overlap_begin != b.overlap_begin)
-      return a.overlap_begin < b.overlap_begin;
-    if (a.tag_a != b.tag_a) return a.tag_a < b.tag_a;
-    return a.tag_b < b.tag_b;
-  });
-  if (raw.size() > static_cast<size_t>(opts.max_diagnostics))
-    raw.resize(static_cast<size_t>(opts.max_diagnostics));
-  for (const RawDiag& r : raw) {
-    LintDiagnostic d;
-    d.kind = DiagKind::kContention;
-    d.send_a = r.tag_a;
-    d.send_b = r.tag_b;
-    d.channel = r.ch;
-    d.overlap_begin = r.overlap_begin;
-    d.overlap_end = r.overlap_end;
-    rep.diagnostics.push_back(std::move(d));
-  }
+  rep.diagnostics = log.listing(opts.max_diagnostics);
 
-  if (opts.check_deadlock) {
-    // The channel-dependency graph is slot-invariant: one slot decides it.
-    std::vector<SendWindow> proto(static_cast<size_t>(n_sends));
-    for (int idx = 0; idx < n_sends; ++idx)
-      proto[static_cast<size_t>(idx)].path = plan[static_cast<size_t>(idx)].path;
-    std::vector<sim::ChannelId> cycle =
-        channel_dependency_cycle(proto, topo.num_channels());
-    if (!cycle.empty()) {
-      rep.deadlock_free = false;
-      if (rep.diagnostics.size() < static_cast<size_t>(opts.max_diagnostics)) {
-        LintDiagnostic d;
-        d.kind = DiagKind::kDeadlock;
-        d.cycle = std::move(cycle);
-        rep.diagnostics.push_back(std::move(d));
-      }
-    }
-  }
+  // The channel-dependency graph is slot-invariant: one slot decides it.
+  std::vector<SendWindow> proto(static_cast<size_t>(n_sends));
+  for (int idx = 0; idx < n_sends; ++idx)
+    proto[static_cast<size_t>(idx)].path = plan[static_cast<size_t>(idx)].path;
+  rep.deadlock_free = detail::deadlock_free(std::span(&proto, 1), topo.num_channels(),
+                                            opts.max_diagnostics, rep.diagnostics);
   return rep;
 }
 
 std::string StreamLintReport::describe(const MulticastTree& tree,
                                        const sim::Topology& topo) const {
-  std::ostringstream os;
   if (clean()) {
+    std::ostringstream os;
     os << "clean: " << slots << " slot(s) x window " << window
        << ", interval " << interval << " (busy bound " << busy_bound
        << " at node " << busy_node << (saturated ? ", saturated" : "")
        << "), makespan " << makespan;
     return os.str();
   }
-  os << diagnostics.size() << " diagnostic(s)";
-  for (const LintDiagnostic& d : diagnostics) {
-    os << "\n  ";
-    switch (d.kind) {
-      case DiagKind::kStructure:
-        os << "structure: " << d.detail;
-        break;
-      case DiagKind::kContention: {
-        const int sa = d.send_a % sends_per_slot;
-        const int sb = d.send_b % sends_per_slot;
-        const SendEvent& a = tree.sends[static_cast<size_t>(sa)];
-        const SendEvent& b = tree.sends[static_cast<size_t>(sb)];
-        os << "contention: slot#" << d.send_a / sends_per_slot << " send#"
-           << sa << " " << tree.node(a.sender_pos) << "->"
-           << tree.node(a.receiver_pos) << " vs slot#"
-           << d.send_b / sends_per_slot << " send#" << sb << " "
-           << tree.node(b.sender_pos) << "->" << tree.node(b.receiver_pos)
-           << " on "
-           << topo.channel_name(d.channel / topo.radix(),
-                                d.channel % topo.radix())
-           << " during [" << d.overlap_begin << ", " << d.overlap_end << ")";
-        break;
-      }
-      case DiagKind::kDeadlock: {
-        os << "deadlock: cyclic channel wait:";
-        for (sim::ChannelId c : d.cycle)
-          os << " " << topo.channel_name(c / topo.radix(), c % topo.radix());
-        break;
-      }
-    }
-  }
-  return os.str();
+  return detail::render_diagnostics(
+      diagnostics, topo, false, [&](int, int tag) {
+        const int send = tag % sends_per_slot;
+        const SendEvent& ev = tree.sends[static_cast<size_t>(send)];
+        std::ostringstream os;
+        os << "slot#" << tag / sends_per_slot << " send#" << send << " "
+           << tree.node(ev.sender_pos) << "->" << tree.node(ev.receiver_pos);
+        return os.str();
+      });
 }
 
 }  // namespace pcm::lint

@@ -3,6 +3,7 @@
 #include <charconv>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -16,12 +17,23 @@ namespace {
   throw std::invalid_argument("bad --faults clause '" + clause + "': " + why);
 }
 
-long long parse_ll(const std::string& clause, std::string_view v, const char* what) {
+long long parse_ll(const std::string& clause, std::string_view v, const char* what,
+                   long long max = std::numeric_limits<long long>::max()) {
   long long out = 0;
   const auto [ptr, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
   if (ec != std::errc{} || ptr != v.data() + v.size() || out < 0)
     bad_spec(clause, (std::string(what) + " must be a non-negative integer").c_str());
+  if (out > max)
+    bad_spec(clause, (std::string(what) + " must be <= " + std::to_string(max)).c_str());
   return out;
+}
+
+int parse_id(const std::string& clause, std::string_view v, const char* what) {
+  return static_cast<int>(parse_ll(clause, v, what, std::numeric_limits<int>::max()));
+}
+
+Time parse_cycle(const std::string& clause, std::string_view v) {
+  return parse_ll(clause, v, "cycle", FaultPlan::kMaxCycle);
 }
 
 double parse_rate(const std::string& clause, std::string_view v) {
@@ -97,11 +109,10 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
       if (comma == std::string::npos || at == std::string::npos || at < comma)
         bad_spec(clause, "expected ROUTER,PORT@CYCLE");
       LinkEvent ev;
-      ev.router = static_cast<int>(
-          parse_ll(clause, std::string_view(args).substr(0, comma), "router"));
-      ev.port = static_cast<int>(parse_ll(
-          clause, std::string_view(args).substr(comma + 1, at - comma - 1), "port"));
-      ev.cycle = parse_ll(clause, std::string_view(args).substr(at + 1), "cycle");
+      ev.router = parse_id(clause, std::string_view(args).substr(0, comma), "router");
+      ev.port = parse_id(
+          clause, std::string_view(args).substr(comma + 1, at - comma - 1), "port");
+      ev.cycle = parse_cycle(clause, std::string_view(args).substr(at + 1));
       ev.up = (kind == "linkup");
       plan.link_events.push_back(ev);
     } else if (kind == "partition" || kind == "heal") {
@@ -110,7 +121,7 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
         bad_spec(clause, "expected R,P|R,P|...@CYCLE");
       CutEvent ev;
       ev.up = (kind == "heal");
-      ev.cycle = parse_ll(clause, std::string_view(args).substr(at + 1), "cycle");
+      ev.cycle = parse_cycle(clause, std::string_view(args).substr(at + 1));
       const std::string list = args.substr(0, at);
       std::size_t begin = 0;
       while (begin <= list.size()) {
@@ -123,10 +134,8 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
         if (comma == std::string::npos)
           bad_spec(clause, "expected ROUTER,PORT channel");
         CutChannel ch;
-        ch.router = static_cast<int>(
-            parse_ll(clause, std::string_view(chan).substr(0, comma), "router"));
-        ch.port = static_cast<int>(
-            parse_ll(clause, std::string_view(chan).substr(comma + 1), "port"));
+        ch.router = parse_id(clause, std::string_view(chan).substr(0, comma), "router");
+        ch.port = parse_id(clause, std::string_view(chan).substr(comma + 1), "port");
         ev.channels.push_back(ch);
       }
       if (ev.channels.empty()) bad_spec(clause, "cut lists no channels");
@@ -135,9 +144,8 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
       const std::size_t at = args.find('@');
       if (at == std::string::npos) bad_spec(clause, "expected NODE@CYCLE");
       NodeEvent ev;
-      ev.node = static_cast<NodeId>(
-          parse_ll(clause, std::string_view(args).substr(0, at), "node"));
-      ev.cycle = parse_ll(clause, std::string_view(args).substr(at + 1), "cycle");
+      ev.node = parse_id(clause, std::string_view(args).substr(0, at), "node");
+      ev.cycle = parse_cycle(clause, std::string_view(args).substr(at + 1));
       plan.node_events.push_back(ev);
     } else if (kind == "drop") {
       plan.drop_rate = parse_rate(clause, args);

@@ -94,8 +94,13 @@ struct FaultPlan {
   ///   corrupt:RATE   per-delivery corruption probability in [0, 1]
   ///   seed:S         substream seed for the rates (default 0)
   /// e.g. "node:42@1500;drop:0.001;seed:7".  Throws std::invalid_argument
-  /// with a one-line diagnostic on malformed input.
+  /// with a one-line diagnostic on malformed input, including a cycle
+  /// past kMaxCycle or a router, port or node id past INT_MAX.
   static FaultPlan parse(const std::string& spec);
+
+  /// Latest fault cycle parse accepts: far past any run's horizon, and far
+  /// below where cycle arithmetic could overflow Time.
+  static constexpr Time kMaxCycle = 1'000'000'000'000;
 
   /// Builds the plan that splits a direct network into `region_a` and
   /// `region_b` at cycle `t_down` and heals it at `t_up` (pass t_up < 0

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <iterator>
 #include <sstream>
+#include <string>
 
 #include "bmin/bmin_topology.hpp"
 #include "butterfly/butterfly_topology.hpp"
@@ -70,6 +71,50 @@ TEST(CliParse, HardenedRejections) {
   // Faults drive the fault-tolerant *multicast* runtime only.
   EXPECT_THROW(parse_args(sv({"--faults", "node:1@5", "--collective", "reduce"})),
                std::invalid_argument);
+}
+
+/// The message parse_args rejects `args` with, or "" when it accepts them.
+std::string rejection(std::initializer_list<const char*> args) {
+  try {
+    (void)parse_args(sv(args));
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// Hostile sizes are refused at parse time (exit 2), naming the flag,
+// before any run could stall on them or allocate for them.
+TEST(CliParse, RejectsHostileBytes) {
+  EXPECT_NE(rejection({"--bytes", "99999999999999"}).find("--bytes"), std::string::npos);
+  EXPECT_NE(rejection({"--bytes", "16777217"}).find("--bytes"), std::string::npos);
+  EXPECT_EQ(rejection({"--bytes", "16777216"}), "");
+  EXPECT_EQ(rejection({"--bytes", "65536"}), "");
+}
+
+TEST(CliParse, RejectsHostileFaultCycles) {
+  const std::string e = rejection({"--faults", "node:3@9223372036854775807"});
+  EXPECT_NE(e.find("--faults"), std::string::npos) << e;
+  EXPECT_NE(e.find("cycle"), std::string::npos) << e;
+  EXPECT_NE(rejection({"--faults", "link:1,2@1000000000001"}).find("--faults"),
+            std::string::npos);
+  EXPECT_NE(rejection({"--faults", "partition:1,2|3,4@1000000000001"}).find("cycle"),
+            std::string::npos);
+  // Ids past INT_MAX used to wrap silently (node 4294967299 became node 3).
+  EXPECT_NE(rejection({"--faults", "node:4294967299@5"}).find("node"), std::string::npos);
+  EXPECT_EQ(rejection({"--faults", "node:3@1000000000000"}), "");
+}
+
+TEST(CliParse, RejectsHostileTopologySizes) {
+  for (const char* spec : {"mesh:100000", "mesh:3000", "mesh:257", "bmin:1048576",
+                           "butterfly:1048576"}) {
+    const std::string e = rejection({"--topology", spec});
+    EXPECT_NE(e.find("--topology"), std::string::npos) << spec << ": " << e;
+  }
+  EXPECT_EQ(rejection({"--topology", "mesh:256"}), "");
+  EXPECT_EQ(rejection({"--topology", "bmin:16384"}), "");
+  // The run path's factory refuses the same specs.
+  EXPECT_THROW(make_topology("mesh:100000"), std::invalid_argument);
 }
 
 TEST(CliParse, FaultsAccepted) {

@@ -5,15 +5,17 @@
 //   Theorem 2: OPT-min schedules are contention-free on a BMIN with
 //              turnaround routing (and so are U-min schedules).
 //
-// Both the analytical checker (model_conflicts) and the flit-level
-// simulator's conflict counter must agree.  The untuned OPT-tree, by
-// contrast, must show contention for at least some placements — that gap
-// is the paper's motivation.
+// Both the static analyzer (lint_tree) and the flit-level simulator's
+// conflict counter must agree.  The untuned OPT-tree, by contrast, must
+// show contention for at least some placements — that gap is the paper's
+// motivation.
 #include <gtest/gtest.h>
 
-#include "analysis/contention.hpp"
+#include <algorithm>
+
 #include "analysis/sampling.hpp"
 #include "bmin/bmin_topology.hpp"
+#include "lint/lint.hpp"
 #include "mesh/mesh_topology.hpp"
 #include "runtime/mcast_runtime.hpp"
 
@@ -49,8 +51,9 @@ TEST_P(MeshContentionFree, TunedSchedulesHaveZeroConflicts) {
     for (McastAlgorithm alg : {McastAlgorithm::kOptMesh, McastAlgorithm::kUMesh}) {
       const MulticastTree tree =
           build_multicast(alg, p.source, p.dests, tp, &topo->shape());
-      const auto report = analysis::model_conflicts(tree, *topo, tp);
-      EXPECT_TRUE(report.contention_free())
+      const auto report =
+          lint::lint_tree(tree, *topo, rtm.config(), sim::SimConfig{}, payload);
+      EXPECT_TRUE(report.clean())
           << algorithm_name(alg) << " k=" << k << ": "
           << report.describe(tree, *topo);
       sim::Simulator sim(*topo);
@@ -82,8 +85,9 @@ TEST_P(BminContentionFree, TunedSchedulesHaveZeroConflicts) {
   for (const auto& p : placements) {
     for (McastAlgorithm alg : {McastAlgorithm::kOptMin, McastAlgorithm::kUMin}) {
       const MulticastTree tree = build_multicast(alg, p.source, p.dests, tp);
-      const auto report = analysis::model_conflicts(tree, *topo, tp);
-      EXPECT_TRUE(report.contention_free())
+      const auto report =
+          lint::lint_tree(tree, *topo, rtm.config(), sim::SimConfig{}, payload);
+      EXPECT_TRUE(report.clean())
           << algorithm_name(alg) << " k=" << k << ": "
           << report.describe(tree, *topo);
       sim::Simulator sim(*topo);
@@ -121,15 +125,20 @@ TEST(UntunedOptTree, ShowsContentionSomewhere) {
 }
 
 TEST(UntunedOptTree, AnalyticalCheckerAgreesItConflicts) {
+  // lint_tree is exact: its verdict is the simulator's on every placement.
   const auto topo = mesh::make_mesh2d(16);
-  rt::RuntimeConfig cfg = machine();
-  const TwoParam tp = cfg.machine.two_param(4096);
+  rt::MulticastRuntime rtm(machine());
+  const TwoParam tp = rtm.config().machine.two_param(rtm.wire_bytes(4096, 1));
   const auto placements = analysis::sample_placements(31, 256, 32, 8);
   int conflicting = 0;
   for (const auto& p : placements) {
     const MulticastTree tree =
         build_multicast(McastAlgorithm::kOptTree, p.source, p.dests, tp);
-    if (!analysis::model_conflicts(tree, *topo, tp).contention_free()) ++conflicting;
+    const auto report =
+        lint::lint_tree(tree, *topo, rtm.config(), sim::SimConfig{}, 4096);
+    sim::Simulator sim(*topo);
+    EXPECT_EQ(report.contention_free, rtm.run(sim, tree, 4096).channel_conflicts == 0);
+    if (!report.contention_free) ++conflicting;
   }
   EXPECT_GT(conflicting, 0);
 }
@@ -146,25 +155,31 @@ TEST(Hypercube, UCubeAndOptCubeAreContentionFree) {
     for (McastAlgorithm alg : {McastAlgorithm::kOptMesh, McastAlgorithm::kUMesh}) {
       const MulticastTree tree =
           build_multicast(alg, p.source, p.dests, tp, &topo.shape());
-      EXPECT_TRUE(analysis::model_conflicts(tree, topo, tp).contention_free());
+      EXPECT_TRUE(
+          lint::lint_tree(tree, topo, rtm.config(), sim::SimConfig{}, 2048).clean());
       sim::Simulator sim(topo);
       EXPECT_EQ(rtm.run(sim, tree, 2048).channel_conflicts, 0);
     }
   }
 }
 
-TEST(ConflictReport, DescribeListsPairs) {
+TEST(LintDescribe, ListsContendingPairs) {
   const auto topo = mesh::make_mesh2d(16);
-  const TwoParam tp{100, 1000};
+  rt::MulticastRuntime rtm(machine());
+  const TwoParam tp = rtm.config().machine.two_param(rtm.wire_bytes(4096, 1));
   // Deliberately contending: caller-order chain over a zig-zag placement.
   std::vector<NodeId> dests{255, 1, 254, 2, 253, 3, 252, 4};
   const MulticastTree tree = build_multicast(McastAlgorithm::kOptTree, 128, dests, tp);
-  const auto report = analysis::model_conflicts(tree, *topo, tp);
-  if (!report.contention_free()) {
-    const std::string d = report.describe(tree, *topo);
-    EXPECT_NE(d.find("conflicting send pair"), std::string::npos);
-    EXPECT_NE(d.find("mesh("), std::string::npos);
-  }
+  const auto report =
+      lint::lint_tree(tree, *topo, rtm.config(), sim::SimConfig{}, 4096);
+  ASSERT_FALSE(report.contention_free);
+  EXPECT_EQ(report.diagnostics.size(),
+            std::min<size_t>(static_cast<size_t>(report.pairs), 64));
+  const std::string d = report.describe(tree, *topo);
+  EXPECT_NE(d.find("contention: send#"), std::string::npos);
+  EXPECT_NE(d.find("mesh("), std::string::npos);
+  sim::Simulator sim(*topo);
+  EXPECT_GT(rtm.run(sim, tree, 4096).channel_conflicts, 0);
 }
 
 }  // namespace

@@ -9,7 +9,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -675,7 +677,7 @@ TEST(LintForest, CrossTreeDiagnosticNamesTheWitness) {
       lint::lint_forest(members, topo, cfg, sim::SimConfig{});
   ASSERT_FALSE(rep.contention_free);
   EXPECT_GT(rep.cross_pairs, 0);
-  const lint::ForestDiagnostic& d = rep.diagnostics.front();
+  const LintDiagnostic& d = rep.diagnostics.front();
   EXPECT_EQ(d.kind, DiagKind::kContention);
   EXPECT_NE(d.tree_a, d.tree_b);  // the earliest overlap here is cross-tree
   EXPECT_GE(d.send_a, 0);
@@ -697,6 +699,104 @@ TEST(LintForest, CrossTreeDiagnosticNamesTheWitness) {
   for (const rt::McastResult& r : rtm.run_concurrent(sim, std::move(groups)))
     conflicts += r.channel_conflicts;
   EXPECT_GT(conflicts, 0);
+}
+
+// Brute-force oracle for the overlap scan: every pair of sends, every
+// channel the two paths share.  Returns each overlapping pair's earliest
+// overlap begin, keyed by ((tree_a, send_a), (tree_b, send_b)) with
+// (tree_a, send_a) the send that reserves the shared channel first.
+using SendKey = std::pair<int, int>;
+std::map<std::pair<SendKey, SendKey>, Time> brute_force_overlaps(
+    const std::vector<std::vector<SendWindow>>& schedules, int num_channels) {
+  struct Ref {
+    int tree;
+    const SendWindow* w;
+  };
+  std::vector<Ref> all;
+  for (size_t t = 0; t < schedules.size(); ++t)
+    for (const SendWindow& w : schedules[t]) all.push_back({static_cast<int>(t), &w});
+  std::map<std::pair<SendKey, SendKey>, Time> earliest;
+  std::vector<int> hop_of(static_cast<size_t>(num_channels), -1);
+  for (size_t i = 0; i < all.size(); ++i) {
+    const SendWindow& a = *all[i].w;
+    for (size_t h = 0; h < a.path.size(); ++h) hop_of[static_cast<size_t>(a.path[h])] = static_cast<int>(h);
+    for (size_t j = i + 1; j < all.size(); ++j) {
+      const SendWindow& b = *all[j].w;
+      for (size_t hb = 0; hb < b.path.size(); ++hb) {
+        const int ha = hop_of[static_cast<size_t>(b.path[hb])];
+        if (ha < 0) continue;
+        const Time a0 = a.reserve[static_cast<size_t>(ha)], a1 = a0 + a.flits;
+        const Time b0 = b.reserve[hb], b1 = b0 + b.flits;
+        if (a0 >= b1 || b0 >= a1) continue;
+        const SendKey ka{all[i].tree, a.send}, kb{all[j].tree, b.send};
+        const bool a_first = a0 < b0 || (a0 == b0 && ka < kb);
+        const auto key = a_first ? std::pair{ka, kb} : std::pair{kb, ka};
+        const Time begin = std::max(a0, b0);
+        const auto [it, fresh] = earliest.emplace(key, begin);
+        if (!fresh) it->second = std::min(it->second, begin);
+      }
+    }
+    for (sim::ChannelId c : a.path) hop_of[static_cast<size_t>(c)] = -1;
+  }
+  return earliest;
+}
+
+// Regression: the scan once kept only the first 4096 raw overlaps before
+// de-duplicating them, so past that many the pair counts undercounted
+// and the first listed overlap was not the earliest one.  A 24-group
+// OPT-tree forest at 16 KB has ~32k raw overlaps.
+TEST(LintForest, PairCountsAndFirstOverlapAreExactPastManyOverlaps) {
+  mesh::MeshTopology topo(MeshShape::square2d(16));
+  const rt::RuntimeConfig cfg;
+  const rt::MulticastRuntime rtm(cfg);
+  constexpr Bytes kPayload = 16384;
+  const TwoParam tp = cfg.machine.two_param(rtm.wire_bytes(kPayload, 1));
+  std::vector<lint::ForestMember> members;
+  for (const analysis::Placement& p : analysis::sample_placements(5, 256, 128, 24))
+    members.push_back(
+        {build_multicast(McastAlgorithm::kOptTree, p.source, p.dests, tp), kPayload, 0});
+  const lint::ForestReport rep =
+      lint::lint_forest(members, topo, cfg, sim::SimConfig{});
+
+  const auto oracle = brute_force_overlaps(rep.schedules, topo.num_channels());
+  int intra = 0, cross = 0;
+  Time first = std::numeric_limits<Time>::max();
+  for (const auto& [key, begin] : oracle) {
+    (key.first.first == key.second.first ? intra : cross)++;
+    first = std::min(first, begin);
+  }
+  ASSERT_GT(oracle.size(), 4096u);
+  EXPECT_FALSE(rep.contention_free);
+  EXPECT_EQ(rep.intra_pairs, intra);
+  EXPECT_EQ(rep.cross_pairs, cross);
+
+  // The listing: distinct pairs, chronological, each at its earliest
+  // overlap, starting with the forest's earliest overlap.
+  ASSERT_EQ(rep.diagnostics.size(), 64u);
+  EXPECT_EQ(rep.diagnostics.front().overlap_begin, first);
+  std::set<std::pair<SendKey, SendKey>> seen;
+  Time prev = 0;
+  for (const LintDiagnostic& d : rep.diagnostics) {
+    ASSERT_EQ(d.kind, DiagKind::kContention);
+    const std::pair<SendKey, SendKey> key{{d.tree_a, d.send_a}, {d.tree_b, d.send_b}};
+    EXPECT_TRUE(seen.insert(key).second);
+    const auto it = oracle.find(key);
+    ASSERT_NE(it, oracle.end());
+    EXPECT_EQ(d.overlap_begin, it->second);
+    EXPECT_GE(d.overlap_begin, prev);
+    prev = d.overlap_begin;
+  }
+  // No unlisted pair overlaps before the last listed one.
+  int earlier = 0;
+  for (const auto& [key, begin] : oracle) earlier += begin < prev ? 1 : 0;
+  EXPECT_LE(earlier, 64);
+
+  // lint_tree runs the same scan on a one-member forest.
+  const LintReport one = lint::lint_tree(members[0].tree, topo, cfg, sim::SimConfig{},
+                                         kPayload);
+  const auto one_oracle = brute_force_overlaps({one.schedule}, topo.num_channels());
+  EXPECT_EQ(one.pairs, static_cast<int>(one_oracle.size()));
+  EXPECT_EQ(one.contention_free, one_oracle.empty());
 }
 
 TEST(LintForest, SingleMemberAndSingleDestinationEdgeCases) {
